@@ -4,8 +4,9 @@ Mirrors :mod:`repro.core.profiling`: the engine's hot loop pays nothing
 while auditing is off — at finalize time the engine asks
 :func:`current` once and installs the plain step function unless an
 :class:`~repro.audit.invariants.Auditor` has been installed via
-:func:`enable`, in which case it swaps in the audited step (a separate
-function, so the unaudited paths carry zero audit branches).
+:func:`enable`, in which case it swaps in the instrumented step it
+shares with the profiler (a separate function, so the plain paths carry
+zero audit branches).
 
 Auditing is process-local ambient state, exactly like profiling: it
 only observes engines *finalized* while it is enabled, so the

@@ -233,8 +233,8 @@ class BatchedEngine(Engine):
         """One lockstep base cycle across every replica.
 
         Mode-generic mirror of :meth:`Engine._step_compiled` (audit and
-        profile branches included, like :meth:`Engine._step_profiled` /
-        :meth:`Engine._step_audited`) plus the replica-axis tally
+        profile branches included, like :meth:`Engine._step_instrumented`)
+        plus the replica-axis tally
         between resolve and commit and the vectorized watchdog at cycle
         end.  The order of every call into components is identical to
         the compiled scheduler's over the merged component list.

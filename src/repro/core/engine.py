@@ -299,12 +299,13 @@ class Engine:
     * ``"conservative"``: admission is decided on occupancy at cycle
       start, the simplistic model; kept as an ablation — it halves
       pipeline throughput through single-slot buffers and can wedge a
-      full ring (see benchmarks/bench_ablations.py).
+      full ring (see tests/ring/test_arbitration_ablations.py).
 
     ``scheduler`` selects the component visitation strategy (see the
     module docstring): ``"compiled"`` (default), ``"active"`` or
     ``"naive"``.  All three are behavior-identical; the slower ones are
-    kept for the equivalence tests and ablation benchmarks.
+    kept for the equivalence tests and the scheduler-ladder cells of
+    ``bench/``.
 
     ``deadlock_threshold`` counts stalled *base* (PM) clock cycles —
     not subcycles — so its meaning does not change on systems with a
@@ -507,12 +508,11 @@ class Engine:
 
         self._auditor = audit_runtime.current()
         if self._auditor is not None:
-            # Auditing takes precedence over profiling: the audited step
-            # carries no phase timers (its checks would dominate them).
             self._auditor.attach(self)
-            self._step_fn = self._step_audited
-        elif self._profile is not None:
-            self._step_fn = self._step_profiled
+        if self._auditor is not None or self._profile is not None:
+            # Auditing takes precedence over profiling: an audited step
+            # carries no phase timers (its checks would dominate them).
+            self._step_fn = self._step_instrumented
         elif self._compiled:
             self._step_fn = (
                 self._step_compiled1 if self._subcycles == 1 else self._step_compiled
@@ -1019,18 +1019,27 @@ class Engine:
         else:
             self._stalled_cycles = 0
 
-    def _step_profiled(self) -> None:
-        """One base cycle with per-phase wall-time accounting.
+    def _step_instrumented(self) -> None:
+        """One base cycle with phase timers or invariant checks between phases.
 
         A mode-generic mirror of :meth:`_step` / :meth:`_step_compiled`
         installed by ``_finalize`` when a
-        :class:`repro.core.profiling.PhaseProfile` is active.  It is a
-        separate function so the unprofiled hot loops carry no
-        profiling branches at all; behavior (order of every call into
-        components) is identical to the plain steps.
+        :class:`repro.core.profiling.PhaseProfile` or an
+        :class:`repro.audit.Auditor` is active (the auditor wins when
+        both are).  It is a separate function so the plain hot loops
+        carry no instrumentation branches at all; behavior — the order
+        of every call into components — is identical to the plain steps.
+        The profile brackets each propose / resolve / commit / update
+        phase; the auditor only *reads* engine and component state at
+        four points per subcycle/cycle: after propose (structural and
+        priority checks on the proposal set), after resolve (fixed-point
+        validity and maximality, wormhole contiguity), after commit
+        (conservation of the commit count, route/lock state), and after
+        update (buffer/channel/global flit conservation, transaction
+        lifecycle).
         """
-        prof = self._profile
-        assert prof is not None
+        aud = self._auditor
+        prof = None if aud is not None else self._profile
         sched = self.scheduler
         cycle = self.cycle
         active = self._active_mode
@@ -1050,8 +1059,10 @@ class Engine:
         proposed_this_cycle = 0
         components = self.components
         transfers = self._transfers
+        p_n = self._p_n
         for subcycle in range(self._subcycles):
-            prof.begin()
+            if prof is not None:
+                prof.begin()
             if compiled:
                 prop_fns = self._prop_fns
                 if self._prop_dirty:
@@ -1078,130 +1089,41 @@ class Engine:
                 for component in components:
                     if subcycle == 0 or component.speed == 2:
                         component.propose(self)
-            prof.lap(sched, "propose")
-            if compiled:
-                p_n = self._p_n
-                n = p_n[0]
-                if n:
-                    proposed_this_cycle += n
-                    self._resolve_compiled()
-                    prof.lap(sched, "resolve")
-                    committed_this_cycle += self._commit_compiled()
-                    p_n[0] = 0
-                    p_n[1] += n  # invalidate this subcycle's prop_of_* entries
-                    prof.lap(sched, "commit")
-            elif transfers:
-                proposed_this_cycle += len(transfers)
-                self._resolve()
-                prof.lap(sched, "resolve")
-                committed_this_cycle += self._commit()
-                self._pool.extend(transfers)
-                transfers.clear()
-                self._by_source.clear()
-                self._by_dest.clear()
-                prof.lap(sched, "commit")
-        prof.begin()
-        if compiled:
-            self._update_compiled(cycle)
-        elif active:
-            self._update_active(cycle)
-        else:
-            for component in components:
-                component.update(self)
-        prof.lap(sched, "update")
-        prof.count_cycle(sched)
-        self.cycle = cycle + 1
-        self._watchdog(proposed_this_cycle, committed_this_cycle)
-
-    def _step_audited(self) -> None:
-        """One base cycle with runtime invariant checks between phases.
-
-        A mode-generic mirror of :meth:`_step` / :meth:`_step_compiled`
-        (structured exactly like :meth:`_step_profiled`) installed by
-        ``_finalize`` when an :class:`repro.audit.Auditor` is enabled.
-        Behavior — the order of every call into components — is
-        identical to the plain steps; the auditor only *reads* engine
-        and component state at four points per subcycle/cycle:
-        after propose (structural and priority checks on the proposal
-        set), after resolve (fixed-point validity and maximality,
-        wormhole contiguity), after commit (conservation of the commit
-        count, route/lock state), and after update (buffer/channel/
-        global flit conservation, transaction lifecycle).
-        """
-        aud = self._auditor
-        assert aud is not None
-        cycle = self.cycle
-        active = self._active_mode
-        compiled = self._compiled
-        if active:
-            timers = self._timers
-            if timers and timers[0][0] <= cycle:
-                active_upd = self._active_upd
-                timer_at = self._timer_at
-                while timers and timers[0][0] <= cycle:
-                    fired, index = heappop(timers)
-                    active_upd.add(index)
-                    if timer_at[index] == fired:
-                        timer_at[index] = 0
-                self._upd_dirty = True
-        committed_this_cycle = 0
-        proposed_this_cycle = 0
-        components = self.components
-        transfers = self._transfers
-        for subcycle in range(self._subcycles):
-            if compiled:
-                prop_fns = self._prop_fns
-                if self._prop_dirty:
-                    self._prop_order = order = sorted(self._active_prop)
-                    self._prop_fn_order = [prop_fns[index] for index in order]
-                    self._prop_dirty = False
-                if subcycle == 0:
-                    for fn in self._prop_fn_order:
-                        fn(self)
-                else:
-                    speed2 = self._prop_speed2
-                    for index in self._prop_order:
-                        if speed2[index]:
-                            prop_fns[index](self)
-            elif active:
-                if self._prop_dirty:
-                    self._prop_order = sorted(self._active_prop)
-                    self._prop_dirty = False
-                for index in self._prop_order:
-                    component = components[index]
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            else:
-                for component in components:
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            if compiled:
-                p_n = self._p_n
-                n = p_n[0]
-                if n:
-                    proposed_this_cycle += n
-                    aud.check_proposals(self)
-                    self._resolve_compiled()
-                    # Snapshot survivors *before* commit: the compiled
-                    # commit loop batch-clears the flit/source columns.
-                    survivors = aud.check_resolution(self)
-                    committed = self._commit_compiled()
-                    p_n[0] = 0
-                    p_n[1] += n  # invalidate this subcycle's prop_of_* entries
-                    committed_this_cycle += committed
-                    aud.check_commit(self, survivors, committed)
-            elif transfers:
-                proposed_this_cycle += len(transfers)
+            if prof is not None:
+                prof.lap(sched, "propose")
+            n = p_n[0] if compiled else len(transfers)
+            if not n:
+                continue
+            proposed_this_cycle += n
+            if aud is not None:
                 aud.check_proposals(self)
+            if compiled:
+                self._resolve_compiled()
+            else:
                 self._resolve()
-                survivors = aud.check_resolution(self)
+            if prof is not None:
+                prof.lap(sched, "resolve")
+            # Snapshot survivors *before* commit: the compiled commit
+            # loop batch-clears the flit/source columns.
+            survivors = aud.check_resolution(self) if aud is not None else None
+            if compiled:
+                committed = self._commit_compiled()
+                p_n[0] = 0
+                p_n[1] += n  # invalidate this subcycle's prop_of_* entries
+            else:
                 committed = self._commit()
                 self._pool.extend(transfers)
                 transfers.clear()
                 self._by_source.clear()
                 self._by_dest.clear()
-                committed_this_cycle += committed
+            committed_this_cycle += committed
+            if prof is not None:
+                prof.lap(sched, "commit")
+            if aud is not None:
+                assert survivors is not None
                 aud.check_commit(self, survivors, committed)
+        if prof is not None:
+            prof.begin()
         if compiled:
             self._update_compiled(cycle)
         elif active:
@@ -1209,8 +1131,12 @@ class Engine:
         else:
             for component in components:
                 component.update(self)
+        if prof is not None:
+            prof.lap(sched, "update")
+            prof.count_cycle(sched)
         self.cycle = cycle + 1
-        aud.check_cycle_end(self)
+        if aud is not None:
+            aud.check_cycle_end(self)
         self._watchdog(proposed_this_cycle, committed_this_cycle)
 
     def audit_proposals(self) -> "list[Proposal]":

@@ -50,7 +50,7 @@ def workload(locality: float, outstanding: int) -> WorkloadConfig:
 
 
 def clear_sweep_caches() -> None:
-    """Drop all memoized sweeps (used by benchmarks to time real runs)."""
+    """Drop all memoized sweeps (tests use it to force real runs)."""
     single_ring_sweep.cache_clear()
     level_growth_sweep.cache_clear()
     table2_size_ring_sweep.cache_clear()

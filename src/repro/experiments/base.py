@@ -8,7 +8,7 @@ the integration tests and the CLI's ``--check`` flag evaluate.
 
 Scales
 ------
-``quick``    seconds-per-experiment; used by CI tests and benchmarks.
+``quick``    seconds-per-experiment; used by the tests and CI sweeps.
 ``default``  minutes-per-experiment; good fidelity on the shapes.
 ``full``     the complete paper grid (all cache lines, T values, and
              system sizes up to 121-144 nodes); used to produce

@@ -58,7 +58,8 @@ class RingPort(Component):
         self.classify = classify
         self.speed = speed
         #: The paper gives transit packets strict priority; False is the
-        #: injection-first ablation (see benchmarks/bench_ablations.py).
+        #: injection-first ablation, which deadlocks a loaded ring (see
+        #: tests/ring/test_arbitration_ablations.py).
         self.transit_first = transit_first
         #: Slotted (non-blocking) switching: flits move as independently
         #: routed slots; the station interleaves passing slots with

@@ -16,8 +16,8 @@ asyncio HTTP/JSON server (:class:`SweepService`) with
 Served results are byte-identical to a direct
 :func:`repro.runtime.run_point` of the same spec.  Start it with
 ``python -m repro.service``; drive it with
-:class:`~repro.service.client.ServiceClient`; measure it with
-``python -m benchmarks.bench_service``.
+:class:`~repro.service.client.ServiceClient`; measure it with the
+``svc_cold`` / ``svc_warm`` workloads of ``python -m bench.run``.
 """
 
 from .app import DEFAULT_HOST, DEFAULT_PORT, ServiceHandle, SweepService, start_in_thread

@@ -186,7 +186,9 @@ class SweepService:
                 method, target, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 try:
-                    await self._dispatch(method, target, body, writer, keep_alive)
+                    keep_alive = await self._dispatch(
+                        method, target, body, writer, keep_alive
+                    )
                 except BadRequest as exc:
                     await self._respond_json(
                         writer, 400, {"error": str(exc)}, keep_alive
@@ -277,7 +279,8 @@ class SweepService:
         body: bytes,
         writer: asyncio.StreamWriter,
         keep_alive: bool,
-    ) -> None:
+    ) -> bool:
+        """Answer one request; returns whether the connection stays open."""
         url = urlsplit(target)
         path = url.path.rstrip("/") or "/"
         query = parse_qs(url.query)
@@ -303,6 +306,7 @@ class SweepService:
             await self._handle_submit(body, writer, keep_alive)
         elif method == "GET" and path.startswith("/jobs/") and path.endswith("/events"):
             await self._handle_events(path.split("/")[2], writer)
+            return False  # the stream announced ``Connection: close``
         elif method == "GET" and path.startswith("/jobs/"):
             await self._handle_job_status(
                 path.split("/")[2], query, writer, keep_alive
@@ -314,6 +318,7 @@ class SweepService:
             await self._respond_json(
                 writer, 404, {"error": f"no route for {method} {path}"}, keep_alive
             )
+        return keep_alive
 
     # ------------------------------------------------------------------
     # endpoints
@@ -548,7 +553,7 @@ class SweepService:
 
 
 class ServiceHandle:
-    """A service running in a dedicated thread (tests, benchmarks)."""
+    """A service running in a dedicated thread (tests)."""
 
     def __init__(self, service: SweepService, thread: threading.Thread) -> None:
         self.service = service

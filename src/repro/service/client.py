@@ -3,8 +3,8 @@
 :class:`ServiceClient` is a small blocking client on
 :mod:`http.client` — convenient for tests, scripts and the smoke
 driver.  :class:`AsyncServiceClient` speaks the same API over a single
-persistent asyncio connection; the load-generator benchmark opens one
-per simulated user so request latency includes no reconnect cost.
+persistent asyncio connection, so a closed-loop caller opening one per
+simulated user pays no reconnect cost per request.
 
 Both return the *raw response text* for point results: the service's
 responses are canonical result payloads, byte-identical to a direct

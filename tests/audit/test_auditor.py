@@ -84,7 +84,7 @@ def test_disabled_auditing_is_ambiently_off():
     network.register(engine)
     engine.run(10)
     assert engine._auditor is None
-    assert engine._step_fn != engine._step_audited
+    assert engine._step_fn != engine._step_instrumented
 
 
 def test_enabled_is_scoped():

@@ -1,6 +1,10 @@
 """End-to-end tests: a real service in a thread, driven over HTTP."""
 
+import asyncio
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
 from repro.runtime import MemCache, PointSpec, ResultCache, run_point
 from repro.runtime.serialization import canonical_json, result_payload
 from repro.service import (
+    AsyncServiceClient,
     ServiceClient,
     ServiceError,
     SweepService,
@@ -70,6 +75,27 @@ class TestEndpoints:
         direct = run_point(PointSpec.from_payload(payload), cache=None)
         assert served == canonical_json(result_payload(direct))
 
+    def test_async_client_speaks_the_same_api(self, service):
+        """Two requests on one persistent asyncio connection: computed,
+        then the same bytes from memory, equal to the blocking client's."""
+        svc, client = service
+        payload = _payload(seed=23)
+
+        async def fetch():
+            async_client = AsyncServiceClient("127.0.0.1", svc.port)
+            try:
+                first = await async_client.run_point(payload)
+                second = await async_client.run_point(payload)
+                stats = await async_client.stats()
+            finally:
+                await async_client.close()
+            return first, second, stats
+
+        (text, source), (again, source_again), stats = asyncio.run(fetch())
+        assert (source, source_again) == ("computed", "mem")
+        assert text == again == client.run_point(payload)[0]
+        assert stats["requests"]["POST /points"] >= 2
+
     def test_derive_seed_accepted(self, service):
         __, client = service
         payload = _payload(seed=1)
@@ -105,12 +131,57 @@ class TestEndpoints:
         assert events[-1]["final"] is True
         assert events[-1]["state"] == "done"
 
+    def test_event_stream_closes_the_connection_it_announced(self, service):
+        """``Connection: close`` on the stream is a promise: a keep-alive
+        client reading the raw socket reaches EOF right after the
+        terminating zero chunk instead of hanging on an open socket."""
+        svc, client = service
+        job_id = client.submit_job([_payload(seed=41)])
+        client.wait_for_job(job_id)
+        request = f"GET /jobs/{job_id}/events HTTP/1.1\r\nHost: test\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+            sock.sendall(request.encode("latin-1"))
+            raw = b""
+            while chunk := sock.recv(65536):  # times out if left open
+                raw += chunk
+        assert b"Connection: close\r\n" in raw
+        assert raw.endswith(b"\r\n0\r\n\r\n")
+
     def test_stats_shape(self, service):
         __, client = service
         stats = client.stats()
         assert set(stats) >= {"uptime_sec", "requests", "tiers", "pools", "jobs"}
         assert set(stats["tiers"]["sources"]) == {"mem", "disk", "dedup", "computed"}
         assert stats["requests"].get("GET /healthz", 0) >= 1
+
+
+class TestWarmPath:
+    def test_warm_p50_is_50x_under_cold_p50(self, service):
+        """The serving contract: re-requesting a point costs at most a
+        fiftieth of computing it (closed loop, one keep-alive client;
+        measured ~350x)."""
+        __, client = service
+        payloads = [
+            PointSpec(
+                system=RingSystemConfig(topology="2:6", cache_line_bytes=32),
+                workload=WorkloadConfig(locality=1.0, miss_rate=0.04, outstanding=4),
+                params=SimulationParams(batch_cycles=1000, batches=2, seed=seed),
+            ).payload()
+            for seed in range(1000, 1006)
+        ]
+
+        def timed(payload):
+            start = time.perf_counter()
+            __, source = client.run_point(payload)
+            return time.perf_counter() - start, source
+
+        cold = [timed(payload) for payload in payloads]
+        warm = [timed(payload) for __ in range(5) for payload in payloads]
+        assert {source for __, source in cold} == {"computed"}
+        assert {source for __, source in warm} <= {"mem", "disk"}
+        cold_p50 = statistics.median(seconds for seconds, __ in cold)
+        warm_p50 = statistics.median(seconds for seconds, __ in warm)
+        assert cold_p50 >= 50 * warm_p50
 
 
 class TestBadRequests:
