@@ -19,7 +19,13 @@ three schedulers' equivalence argument rests on:
       offered to output *d* must have *d* in the legal-output set of
       :func:`repro.checkers.specs.mesh_legal_outputs` for its
       destination — the same table the static CDG prover certified, so
-      the static and dynamic legality models are one artifact.
+      the static and dynamic legality models are one artifact;
+    * mesh round-robin arbitration: on every connected, unlocked router
+      output the proposed source is the first idle input, scanning
+      ``INPUT_ORDER`` from that output's round-robin pointer, whose head
+      flit the routing spec sends there — and an unlocked output with
+      such a requester does carry a proposal (the mesh twin of the ring
+      transit-priority check: *who* wins, not only where it goes).
 
 **Per subcycle, after resolve** (:meth:`Auditor.check_resolution`)
     * the surviving set is a valid fixed point (no surviving fill
@@ -77,7 +83,8 @@ from ..core.buffers import FlitBuffer
 from ..core.channel import Channel
 from ..core.errors import SimulationError
 from ..core.pm import ProcessingModule
-from ..mesh.router import MeshRouter
+from ..mesh.router import INPUT_ORDER, MeshRouter
+from ..mesh.routing import LOCAL
 from ..ring.iri import InterRingInterface
 from ..ring.port import RingPort
 
@@ -311,6 +318,63 @@ class Auditor:
                             f"to output {direction} but the routing spec "
                             f"allows {sorted(allowed)}",
                         )
+        if self._mesh_routers:
+            self._check_mesh_arbitration(proposals)
+
+    def _check_mesh_arbitration(self, proposals: "list[Proposal]") -> None:
+        """Round-robin conformance of every unlocked mesh router output.
+
+        Re-derives the expected winner from router state alone (lock
+        and pointer dicts, buffer heads, the routing-spec table) — not
+        from ``route()``, the next-hop rows or ``_RR_PICK`` — and
+        compares it with what was actually proposed.  Every router is
+        checked, awake or not: one that sleeps has empty feed buffers,
+        hence no requester and no proposal.
+        """
+        offered = {
+            (id(owner), id(dest)): source
+            for _flit, source, dest, _channel, owner, _live in proposals
+        }
+        ports = len(INPUT_ORDER)
+        for router in self._mesh_routers:
+            legal = mesh_legal_outputs(router.shape)
+            heads: "dict[str, tuple[Flit, FlitBuffer]]" = {}
+            for in_key in INPUT_ORDER:
+                if router._input_route[in_key] is not None:
+                    continue  # mid-packet: not arbitrating
+                queues = (
+                    router._local_queues
+                    if in_key == LOCAL
+                    else (router.input_buffers[in_key],)
+                )
+                for queue in queues:  # LOCAL: responses before requests
+                    if queue._flits:
+                        if queue._flits[0].is_head:
+                            heads[in_key] = (queue._flits[0], queue)
+                        break
+            for out_key in router._connected:
+                if router._output_lock[out_key] is not None:
+                    continue
+                expected: "FlitBuffer | None" = None
+                start = router._rr_pointer[out_key]
+                for offset in range(ports):
+                    candidate = heads.get(INPUT_ORDER[(start + offset) % ports])
+                    if candidate is None:
+                        continue
+                    flit, queue = candidate
+                    if out_key in legal[(router.node, flit.packet.destination)]:
+                        expected = queue
+                        break
+                actual = offered.get((id(router), id(router._out_dest[out_key])))
+                if actual is not expected:
+                    self._fail(
+                        "mesh-arbitration",
+                        f"{router.name}: unlocked output {out_key} (round-robin "
+                        f"pointer {start}) should be granted to "
+                        f"{expected.name if expected is not None else None!r} "
+                        f"but the proposal sources from "
+                        f"{actual.name if actual is not None else None!r}",
+                    )
 
     # ------------------------------------------------------------------
     # hook: after the resolve phase of a subcycle

@@ -38,10 +38,12 @@ base cycles.
 Scheduling
 ----------
 
-Three schedulers drive the same propose/resolve/commit machinery (a
-fourth, ``"batched"``, lives in :mod:`repro.core.batched`: it subclasses
-this engine to run N replica networks in lockstep over the compiled
-datapath, with per-replica flit tallies and deadlock watchdogs):
+Three schedulers drive the same propose/resolve/commit machinery here.
+Two more live elsewhere: ``"batched"`` (:mod:`repro.core.batched`)
+subclasses this engine to run N replica networks in lockstep over the
+compiled datapath, with per-replica flit tallies and deadlock
+watchdogs, and ``"columnar"`` (:mod:`repro.core.columnar`) is a
+separate statistical-equivalence tier that does not use this engine:
 
 * ``"naive"`` scans every component every subcycle and runs every
   ``update`` every cycle — the straightforward implementation;
@@ -73,7 +75,12 @@ datapath, with per-replica flit tallies and deadlock watchdogs):
   (:meth:`Component.compiled_propose_handler`): a flat closure, built
   once at finalize, that performs the component's send arbitration
   and writes the proposal row directly into the engine's columns —
-  no per-proposal engine call at all.  Under saturation — every
+  no per-proposal engine call at all.  Both switching components
+  provide one: :class:`~repro.ring.port.RingPort` (transit-first
+  pick, continuation ids stashed at head commit) and
+  :class:`~repro.mesh.router.MeshRouter` (one request word per cycle
+  from shared next-hop rows, round-robin grants from a table).  Under
+  saturation — every
   component awake, tens of proposals per cycle — this removes the
   object churn and call overhead that dominate the ``"active"``
   profile.

@@ -21,18 +21,48 @@ link through the engine's flow-control resolution.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..core.buffers import FlitBuffer
 from ..core.channel import Channel
 from ..core.engine import CommitHandler, Component, Engine, Transfer
 from ..core.errors import SimulationError
 from ..core.packet import Flit, Packet
 from ..core.pm import ProcessingModule
-from .routing import LOCAL, ecube_next_direction
+from .routing import LOCAL, PORT_ORDER, ecube_next_direction, ecube_next_hop_rows
 from .topology import MeshShape
 
 #: Input arbitration order (round-robin start rotates through this).
-INPUT_ORDER = ("N", "E", "S", "W", LOCAL)
-OUTPUT_ORDER = ("N", "E", "S", "W", LOCAL)
+INPUT_ORDER = PORT_ORDER
+OUTPUT_ORDER = PORT_ORDER
+
+_PORTS = len(PORT_ORDER)
+
+#: The round-robin arbiter as a table: ``_RR_PICK[start][mask]`` is the
+#: first input index at or after ``start`` (wrapping) whose bit is set
+#: in the 5-bit request ``mask``, or -1 for the empty mask.
+_RR_PICK = tuple(
+    tuple(
+        next(
+            (
+                (start + offset) % _PORTS
+                for offset in range(_PORTS)
+                if mask >> (start + offset) % _PORTS & 1
+            ),
+            -1,
+        )
+        for mask in range(1 << _PORTS)
+    )
+    for start in range(_PORTS)
+)
+
+#: ``_REQUEST_BIT[i][o]``: the bit input *i* sets to request output *o*
+#: in a router's packed per-cycle request word (bit ``o * _PORTS + i``,
+#: so ``word >> o * _PORTS & 31`` is output *o*'s ``_RR_PICK`` mask).
+_REQUEST_BIT = tuple(
+    tuple(1 << out * _PORTS + index for out in range(_PORTS))
+    for index in range(_PORTS)
+)
 
 
 class MeshRouter(Component):
@@ -192,6 +222,167 @@ class MeshRouter(Component):
                 flit, buffer, self._out_dest[out_key], self._out_channel[out_key], self
             )
             return
+
+    def compiled_propose_handler(
+        self, engine: Engine
+    ) -> "Callable[[Engine], None] | None":
+        """Flat crossbar propose for the compiled datapath.
+
+        A finalize-built closure equivalent to :meth:`propose` +
+        ``engine.propose``: the same proposals in the same order, from
+        the same wormhole state dicts, without the per-output rescan of
+        every input.  One pass over the inputs turns each idle input's
+        head flit into a request bit for the output its destination
+        routes to (a shared :func:`ecube_next_hop_rows` lookup); one
+        walk over the connected outputs then streams the pinned input
+        on a locked output and grants ``_RR_PICK[pointer][requests]`` on
+        a free one.  An input's head routes to exactly one output and
+        no state changes inside a propose, so the one-pass request mask
+        holds what the object path's per-output scans would each find.
+
+        Kept from the object path: both mid-packet-flit-on-an-idle-port
+        errors, the locked-to-an-idle-input error, and the engine's
+        one-drain-per-source / one-fill-per-bounded-destination checks.
+        Elided: the engine's head-of-buffer check — every offered flit
+        is read from ``source._flits[0]`` inside this call.  The errors
+        fire for any idle input, where the object path only notices
+        those a free output's scan reaches; both states are corrupt.
+
+        A router already mid-packet at finalize (reused across engines)
+        keeps the generic path, as :class:`RingPort` does: the pinned
+        source's id would index the previous engine's columns.
+        """
+        if any(lock is not None for lock in self._output_lock.values()):
+            return None
+        name = self.name
+        owner_id = self._engine_index
+        output_lock = self._output_lock
+        input_route = self._input_route
+        input_active_buffer = self._input_active_buffer
+        rr_pointer = self._rr_pointer
+        next_hop = ecube_next_hop_rows(self.shape)[self.node]
+        buf_id = engine.compiled_buffer_id
+        buf_cap = engine._buf_cap
+        local = INPUT_ORDER.index(LOCAL)
+        neighbor_inputs = tuple(
+            (in_key, index, self.input_buffers[in_key], _REQUEST_BIT[index])
+            for index, in_key in enumerate(INPUT_ORDER)
+            if index != local
+        )
+        local_queues = tuple((queue, buf_id(queue)) for queue in self._local_queues)
+        local_bits = _REQUEST_BIT[local]
+        # Per input: the head flit it offers this cycle and the engine
+        # id of the buffer holding it (LOCAL's is set with the offer).
+        heads: list[Flit | None] = [None] * _PORTS
+        sources = [
+            -1 if index == local else buf_id(self.input_buffers[in_key])
+            for index, in_key in enumerate(INPUT_ORDER)
+        ]
+        outputs = []
+        for out_key in self._connected:
+            dest = self._out_dest[out_key]
+            dst = buf_id(dest)
+            channel = self._out_channel[out_key]
+            chan = -1 if channel is None else engine.compiled_channel_id(channel)
+            shift = OUTPUT_ORDER.index(out_key) * _PORTS
+            outputs.append((out_key, shift, dest, dst, chan, buf_cap[dst]))
+        buf_objs = engine._buf_objs
+        prop_of_src = engine._prop_of_src
+        prop_of_dst = engine._prop_of_dst
+        p_flit = engine._p_flit
+        p_src = engine._p_src
+        p_dst = engine._p_dst
+        p_chan = engine._p_chan
+        p_owner = engine._p_owner
+        p_live = engine._p_live
+        p_srcbuf = engine._p_srcbuf
+        p_n = engine._p_n
+        work = engine._work
+        rr_pick = _RR_PICK
+
+        def propose_compiled(_engine: Engine) -> None:
+            # --- requests: mirror of _head_candidate() + route() ---
+            requests = 0
+            for in_key, index, buffer, bits in neighbor_inputs:
+                if input_route[in_key] is None:
+                    flits = buffer._flits
+                    if flits:
+                        flit = flits[0]
+                        if not flit.is_head:
+                            raise SimulationError(
+                                f"{name}: input {in_key} idle but heads with {flit!r}"
+                            )
+                        heads[index] = flit
+                        requests |= bits[next_hop[flit.packet.destination]]
+            if input_route[LOCAL] is None:
+                for queue, src in local_queues:  # responses first
+                    flits = queue._flits
+                    if flits:
+                        flit = flits[0]
+                        if not flit.is_head:
+                            raise SimulationError(
+                                f"{name}: idle local port, mid-packet flit "
+                                f"at head of {queue.name!r}"
+                            )
+                        heads[local] = flit
+                        sources[local] = src
+                        requests |= local_bits[next_hop[flit.packet.destination]]
+                        break
+            # --- grants: mirror of propose(), outputs in OUTPUT_ORDER ---
+            n, base = p_n
+            for out_key, shift, dest, dst, chan, cap in outputs:
+                in_key = output_lock[out_key]
+                if in_key is not None:
+                    buffer = input_active_buffer[in_key]
+                    if buffer is None:
+                        raise SimulationError(
+                            f"{name}: output {out_key} locked to idle input"
+                        )
+                    flits = buffer._flits
+                    if not flits:
+                        continue  # bubble: next flit not yet arrived
+                    flit = flits[0]
+                    src = buffer._buf_id
+                else:
+                    mask = requests >> shift & 31
+                    if not mask:
+                        continue
+                    index = rr_pick[rr_pointer[out_key]][mask]
+                    flit = heads[index]
+                    src = sources[index]
+                # --- row write: mirror of Engine.propose_fast ---
+                if prop_of_src[src] >= base:
+                    raise SimulationError(
+                        f"two transfers source from buffer {buf_objs[src].name!r}"
+                    )
+                if cap >= 0 and prop_of_dst[dst] >= base:
+                    raise SimulationError(
+                        f"two transfers target bounded buffer {dest.name!r}"
+                    )
+                if n == len(p_flit):
+                    p_flit.append(flit)
+                    p_src.append(src)
+                    p_dst.append(dst)
+                    p_chan.append(chan)
+                    p_owner.append(owner_id)
+                    p_live.append(1)
+                    p_srcbuf.append(None)
+                else:
+                    p_flit[n] = flit
+                    p_src[n] = src
+                    p_dst[n] = dst
+                    p_chan[n] = chan
+                    p_owner[n] = owner_id
+                    p_live[n] = 1
+                prop_of_src[src] = base + n
+                if cap >= 0:
+                    prop_of_dst[dst] = base + n
+                    if len(dest._flits) >= cap:
+                        work.append(n)  # full dest: revocation candidate
+                n += 1
+            p_n[0] = n
+
+        return propose_compiled
 
     # ------------------------------------------------------------------
     # Commit bookkeeping.  `_commit_flit` is the single implementation;

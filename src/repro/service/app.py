@@ -314,6 +314,7 @@ class SweepService:
         elif method == "POST" and path == "/shutdown":
             await self._respond_json(writer, 200, {"status": "stopping"}, False)
             await self.stop()
+            return False  # the response announced ``Connection: close``
         else:
             await self._respond_json(
                 writer, 404, {"error": f"no route for {method} {path}"}, keep_alive

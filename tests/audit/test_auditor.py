@@ -23,8 +23,10 @@ from repro.core.config import (
     WorkloadConfig,
 )
 from repro.core.engine import Engine
+from repro.core.packet import Packet, PacketType
 from repro.core.pm import MetricsHub
 from repro.core.simulation import build_network, simulate
+from repro.mesh.router import INPUT_ORDER
 from repro.runtime.serialization import canonical_json, result_payload
 
 PARAMS = SimulationParams(batch_cycles=300, batches=3, seed=5)
@@ -157,6 +159,63 @@ def test_over_revoking_resolver_is_caught(monkeypatch):
         with pytest.raises(AuditError) as excinfo:
             simulate(system, WORKLOAD, replace(PARAMS, scheduler="naive"))
     assert excinfo.value.invariant == "resolve-maximality"
+
+
+def _contended_centre_router(scheduler):
+    """3x3 mesh, centre router: heads waiting on inputs N and W both
+    route East — a fresh round-robin decision on an unlocked output."""
+    metrics = MetricsHub()
+    system = MeshSystemConfig(side=3, cache_line_bytes=32, buffer_flits=4)
+    network = build_network(
+        system, replace(WORKLOAD, miss_rate=1e-9), metrics, seed=1
+    )
+    engine = Engine(scheduler=scheduler)
+    network.register(engine)
+    router = network.routers[4]
+    for in_key, source in (("N", 1), ("W", 3)):
+        worm = Packet(
+            PacketType.WRITE_REQUEST, source, 5, 4, transaction_id=1, issue_cycle=0
+        )
+        for flit in worm.flits:
+            router.input_buffers[in_key].push(flit)
+    return engine, router
+
+
+@pytest.mark.parametrize("scheduler", ["naive", "compiled"])
+def test_mesh_arbitration_holds_on_a_contended_output(scheduler):
+    """Control for the injection below: untouched, the contended grant
+    conforms (and the loser wins the next round) under both datapaths."""
+    with enabled(Auditor()) as auditor:
+        engine, router = _contended_centre_router(scheduler)
+        engine.run(12)
+    assert not auditor.violations
+    assert auditor.proposals_checked > 0
+    assert router.input_buffers["N"].is_empty and router.input_buffers["W"].is_empty
+
+
+@pytest.mark.parametrize("scheduler", ["naive", "compiled"])
+def test_skewed_round_robin_pointer_is_caught(monkeypatch, scheduler):
+    """Who wins an output is audited, not only where the winner goes.
+
+    Skew the East output's round-robin pointer between propose and the
+    after-propose check: the grant actually made (input N, pointer 0)
+    is no longer the one the pointer dictates (input W), and the audit
+    must say so — under the object path and the compiled closure alike.
+    """
+    check_proposals = Auditor.check_proposals
+    with enabled(Auditor()) as auditor:
+        engine, router = _contended_centre_router(scheduler)
+
+        def skew_then_check(self, engine):
+            router._rr_pointer["E"] = INPUT_ORDER.index("E")
+            check_proposals(self, engine)
+
+        monkeypatch.setattr(Auditor, "check_proposals", skew_then_check)
+        with pytest.raises(AuditError) as excinfo:
+            engine.step()
+    assert excinfo.value.invariant == "mesh-arbitration"
+    assert "router4" in excinfo.value.detail and "output E" in excinfo.value.detail
+    assert auditor.violations and auditor.violations[0] is excinfo.value
 
 
 def test_quiescence_after_drain():

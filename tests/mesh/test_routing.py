@@ -3,7 +3,16 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mesh.routing import LOCAL, ecube_next_direction, ecube_path
+import pytest
+
+from repro.checkers.specs import mesh_legal_outputs
+from repro.mesh.router import _RR_PICK, INPUT_ORDER, OUTPUT_ORDER
+from repro.mesh.routing import (
+    LOCAL,
+    ecube_next_direction,
+    ecube_next_hop_rows,
+    ecube_path,
+)
 from repro.mesh.topology import MeshShape
 
 
@@ -23,6 +32,42 @@ class TestNextDirection:
     def test_arrival_is_local(self):
         shape = MeshShape(4)
         assert ecube_next_direction(shape, 7, 7) == LOCAL
+
+
+class TestNextHopRows:
+    """The table the compiled mesh propose closure indexes."""
+
+    @pytest.mark.parametrize("side", range(1, 7))
+    def test_rows_match_the_function_and_the_certified_spec(self, side):
+        shape = MeshShape(side)
+        rows = ecube_next_hop_rows(shape)
+        legal = mesh_legal_outputs(shape)
+        assert len(rows) == shape.processors
+        for node in range(shape.processors):
+            assert len(rows[node]) == shape.processors
+            for dest in range(shape.processors):
+                direction = OUTPUT_ORDER[rows[node][dest]]
+                assert direction == ecube_next_direction(shape, node, dest)
+                assert legal[(node, dest)] == {direction}
+
+    def test_rows_are_shared_per_shape(self):
+        assert ecube_next_hop_rows(MeshShape(4)) is ecube_next_hop_rows(MeshShape(4))
+
+
+def test_rr_pick_matches_a_modular_scan():
+    """``_RR_PICK[start][mask]``: first requester at or after the pointer."""
+    ports = len(INPUT_ORDER)
+    assert len(_RR_PICK) == ports
+    for start in range(ports):
+        assert len(_RR_PICK[start]) == 1 << ports
+        for mask in range(1 << ports):
+            expected = -1
+            for offset in range(ports):
+                candidate = (start + offset) % ports
+                if mask & (1 << candidate):
+                    expected = candidate
+                    break
+            assert _RR_PICK[start][mask] == expected
 
 
 class TestPath:

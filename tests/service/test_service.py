@@ -147,6 +147,38 @@ class TestEndpoints:
         assert b"Connection: close\r\n" in raw
         assert raw.endswith(b"\r\n0\r\n\r\n")
 
+    def test_shutdown_closes_the_connection_it_announced(self, tmp_path):
+        """``POST /shutdown`` answers ``Connection: close`` too: a
+        keep-alive client reaches EOF right after the body, while the
+        service is still stopping (pool teardown is held open here),
+        not when the event loop is finally torn down around it."""
+        svc = SweepService(
+            "127.0.0.1",
+            0,
+            shards=1,
+            workers_per_shard=1,
+            cache=ResultCache(tmp_path),
+            mem=MemCache(),
+            job_workers=1,
+        )
+        release = threading.Event()
+        close_pools = svc.pools.shutdown
+        svc.pools.shutdown = lambda: (release.wait(30), close_pools())
+        handle = start_in_thread(svc)
+        request = "POST /shutdown HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"
+        try:
+            with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+                sock.sendall(request.encode("latin-1"))
+                raw = b""
+                while chunk := sock.recv(65536):  # times out if left open
+                    raw += chunk
+        finally:
+            release.set()
+            handle.stop()
+        assert b"Connection: close\r\n" in raw
+        assert raw.endswith(b'"stopping"}')
+        assert not handle.thread.is_alive()
+
     def test_stats_shape(self, service):
         __, client = service
         stats = client.stats()
