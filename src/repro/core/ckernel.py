@@ -6,16 +6,44 @@ the arithmetic is trivial but every masked gather/scatter pays ~1µs of
 interpreter and ufunc overhead.  This module removes that floor when a
 C toolchain is present: the same flat int64/uint8/float64 state arrays
 are handed to a small C kernel (compiled once per process with the
-system ``cc`` and bound through :mod:`ctypes`) that runs the identical
-propose/resolve/commit/update cycle as plain loops.
+system ``cc`` and bound through :mod:`ctypes`) that runs the same
+propose/resolve/commit/update cycle as plain loops over the ports and,
+from resolve on, over only the rows that proposed.
 
-The kernel is an *accelerator, not a second model*: it iterates ports,
-buffers and PM columns in exactly the order the vectorized numpy path
-scatters them, so a columnar run produces bit-identical results with
-the kernel on or off (``tests/integration/test_columnar.py`` locks
-this).  Statistical equivalence versus ``compiled`` is therefore
-established once, at the columnar-model level, by
-:mod:`repro.audit.stat_equiv` — the kernel inherits it.
+The kernel is an *accelerator, not a second model*: a columnar run
+produces bit-identical results with the kernel on or off
+(``tests/integration/test_columnar.py`` locks this).  Statistical
+equivalence versus ``compiled`` is therefore established once, at the
+columnar-model level, by :mod:`repro.audit.stat_equiv` — the kernel
+inherits it.  Identity rests on three things, none of which is "the
+same loops as numpy":
+
+* **Commit order is the numpy path's.**  Propose appends one row per
+  proposing port to a compact list in ascending port order; the pops,
+  then the fills with their wormhole-state and completion bookkeeping,
+  walk that list (all pops before any fill), so ``comp[]`` order, hence
+  PM update order and every Philox draw, match the order the
+  vectorized path scatters in.
+* **Resolve is a worklist, not the numpy path's Jacobi sweeps** — the
+  integer twin of ``Engine._resolve_compiled``.  A row can only be
+  revoked if its bounded destination is already full, so propose seeds
+  a stack with exactly those rows; the resolver pops a row, re-tests
+  ``occ[d] - draining >= cap[d]``, revokes it, and pushes the one row
+  that fills the revoked row's source.  The surviving set is the
+  greatest fixed point of "no survivor overflows its destination given
+  the drains of the survivors", which is unique, so the visiting order
+  cannot change it.  "The one row" is an invariant of both fabrics:
+  every buffer has one reader per subcycle (a ring buffer is a source
+  of exactly one port; a mesh input's head routes to one direction and
+  a mid-packet input is claimed, ``claim[]``, by the output locked to
+  it) and every bounded buffer one writer (one upstream port or router
+  output).
+* **Mesh arbitration reads one request pass per router** — PR 18's
+  request-word idea over columns.  Occupancy, claims and round-robin
+  pointers do not change inside a propose pass, so each input's head is
+  classified once into a per-direction mask of requesting inputs and
+  each free output takes the first requester at or after its pointer:
+  the same winner as rescanning the five inputs per output.
 
 Gating: compilation is attempted lazily on first use and never raises —
 any failure (no compiler, sandboxed filesystem, unsupported platform)
@@ -52,36 +80,36 @@ class PTR:
     CAP = 3
     IS_SINK = 4
     SINK_PM = 5
-    DRAIN = 6
-    MID = 7
-    REM = 8
-    CONT_SRC = 9
-    CONT_DST = 10
-    PSRC3 = 11
-    RT_TBL = 12
-    FAST = 13
-    LVL_OF = 14
-    R_OF_PORT = 15
-    IN_BUF = 16
-    LQ_RESP = 17
-    LQ_REQ = 18
-    ROUTE = 19
-    M_DST = 20
-    M_DIR = 21
-    M_R5 = 22
-    CLAIMED = 23
-    RR = 24
-    LOCK = 25
-    STG_Q = 26
-    STG_QCAP = 27
-    STG_PID = 28
-    STG_HEAD = 29
-    STG_CNT = 30
-    OUT = 31
-    REM_OPEN = 32
-    RX_CNT = 33
-    RX_PID = 34
-    PM_LOCAL = 35
+    MID = 6
+    REM = 7
+    CONT_SRC = 8
+    CONT_DST = 9
+    PSRC3 = 10
+    RT_TBL = 11
+    FAST = 12
+    LVL_OF = 13
+    R_OF_PORT = 14
+    IN_BUF = 15
+    LQ_RESP = 16
+    LQ_REQ = 17
+    ROUTE = 18
+    M_DST = 19
+    M_DIR = 20
+    M_R5 = 21
+    CLAIMED = 22
+    RR = 23
+    LOCK = 24
+    STG_Q = 25
+    STG_QCAP = 26
+    STG_PID = 27
+    STG_HEAD = 28
+    STG_CNT = 29
+    OUT = 30
+    REM_OPEN = 31
+    RX_CNT = 32
+    RX_PID = 33
+    PM_LOCAL = 34
+    R_OF_PM = 35
     PEND = 36
     PEND_RD = 37
     PEND_TGT = 38
@@ -119,11 +147,23 @@ class PTR:
     LOCAL_ISSUED = 70
     FLITS_LEVEL = 71
     FLITS_MOVED = 72
-    SCRATCH_I = 73
-    SCRATCH_U = 74
-    REFILL = 75
-    KSTATE = 76
-    COUNT = 77
+    ROW_PORT = 73
+    ROW_SRC = 74
+    ROW_DST = 75
+    ROW_PID = 76
+    ROW_IN = 77
+    ROW_LIVE = 78
+    DRAINER = 79
+    FILLER = 80
+    WORK = 81
+    REQ = 82
+    REQ_SRC = 83
+    COMP = 84
+    CYC_PROP = 85
+    CYC_COMM = 86
+    REFILL = 87
+    KSTATE = 88
+    COUNT = 89
 
 
 class KS:
@@ -195,13 +235,13 @@ enum { K_CYCLE, K_NPKT, K_PKTCAP, K_NETF, K_STGTOT, K_PENDTOT,
        K_MEMH, K_MEMC, K_LOCH, K_LOCC, K_ARG };
 
 enum {
- A_OCC, A_HEAD, A_SLOTS, A_CAP, A_ISSINK, A_SINKPM, A_DRAIN,
+ A_OCC, A_HEAD, A_SLOTS, A_CAP, A_ISSINK, A_SINKPM,
  A_MID, A_REM, A_CSRC, A_CDST,
  A_PSRC3, A_RTTBL, A_FAST, A_LVLOF, A_RPORT,
  A_INBUF, A_LQRESP, A_LQREQ, A_ROUTE, A_MDST, A_MDIR, A_MR5,
  A_CLAIM, A_RR, A_LOCK,
  A_STGQ, A_STGQCAP, A_STGPID, A_STGHEAD, A_STGCNT,
- A_OUT, A_REMOPEN, A_RXCNT, A_RXPID, A_PMLOCAL,
+ A_OUT, A_REMOPEN, A_RXCNT, A_RXPID, A_PMLOCAL, A_ROFPM,
  A_PEND, A_PENDRD, A_PENDTGT, A_CURSOR, A_GAP, A_READ, A_TGT, A_CD,
  A_PDEST, A_PSRC, A_PSIZE, A_PISSUE, A_PRESP, A_PREAD, A_PRT,
  A_MEMREADY, A_MEMPM, A_MEMPID, A_LOCREADY, A_LOCPM,
@@ -210,7 +250,33 @@ enum {
  A_LSUM, A_LCNT, A_LMIN, A_LMAX, A_LLAST,
  A_RCOMP, A_LCOMP, A_RISS, A_LISS,
  A_FLVL, A_FMOV,
- A_SCRI, A_SCRU, A_REFILL, A_KSTATE };
+ A_ROWPORT, A_ROWSRC, A_ROWDST, A_ROWPID, A_ROWIN, A_ROWLIVE,
+ A_DRAINER, A_FILLER, A_WORK, A_REQ, A_REQSRC,
+ A_COMP, A_CYCPROP, A_CYCCOMM,
+ A_REFILL, A_KSTATE };
+
+/* Index of the lowest set bit of a non-zero 5-bit mask. */
+static const u8 LOWBIT[32] = {0, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0,
+                              4, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0};
+
+/* The packet whose flit heads buffer b. */
+#define HEADPKT(b) slots[((b) << blog) + headv[b]]
+
+/* Append one proposal row: port u moves packet p's flit from buffer s
+   to buffer d.  Rows whose bounded destination is already full seed
+   the resolver's worklist; no other row can ever be revoked. */
+#define PROPOSE(u, s, d, p) do {                        \
+        rowport[nrow] = (u);                            \
+        rowsrc[nrow] = (s);                             \
+        rowdst[nrow] = (d);                             \
+        rowpid[nrow] = (p);                             \
+        rowlive[nrow] = 1;                              \
+        drainer[s] = base + nrow;                       \
+        filler[d] = base + nrow;                        \
+        prop[rport[u]]++;                               \
+        if (occ[d] >= capv[d]) work[nwork++] = nrow;    \
+        nrow++;                                         \
+    } while (0)
 
 long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 {
@@ -221,7 +287,6 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     i64 *capv   = (i64 *)A[A_CAP];
     u8  *issink = (u8  *)A[A_ISSINK];
     i64 *sinkpm = (i64 *)A[A_SINKPM];
-    i64 *drain  = (i64 *)A[A_DRAIN];
     u8  *midv   = (u8  *)A[A_MID];
     i64 *remv   = (i64 *)A[A_REM];
     i64 *csrc   = (i64 *)A[A_CSRC];
@@ -251,6 +316,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     i64 *rxcnt  = (i64 *)A[A_RXCNT];
     i64 *rxpid  = (i64 *)A[A_RXPID];
     i64 *pmloc  = (i64 *)A[A_PMLOCAL];
+    i64 *rofpm  = (i64 *)A[A_ROFPM];
     u8  *pend   = (u8  *)A[A_PEND];
     u8  *pendrd = (u8  *)A[A_PENDRD];
     i64 *pendtg = (i64 *)A[A_PENDTGT];
@@ -288,8 +354,20 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     i64 *liss   = (i64 *)A[A_LISS];
     i64 *flvl   = (i64 *)A[A_FLVL];
     i64 *fmov   = (i64 *)A[A_FMOV];
-    i64 *scri   = (i64 *)A[A_SCRI];
-    u8  *scru   = (u8  *)A[A_SCRU];
+    i64 *rowport= (i64 *)A[A_ROWPORT];
+    i64 *rowsrc = (i64 *)A[A_ROWSRC];
+    i64 *rowdst = (i64 *)A[A_ROWDST];
+    i64 *rowpid = (i64 *)A[A_ROWPID];
+    i64 *rowin  = (i64 *)A[A_ROWIN];
+    u8  *rowlive= (u8  *)A[A_ROWLIVE];
+    i64 *drainer= (i64 *)A[A_DRAINER];
+    i64 *filler = (i64 *)A[A_FILLER];
+    i64 *work   = (i64 *)A[A_WORK];
+    i64 *req    = (i64 *)A[A_REQ];
+    i64 *reqsrc = (i64 *)A[A_REQSRC];
+    i64 *comp   = (i64 *)A[A_COMP];
+    i64 *prop   = (i64 *)A[A_CYCPROP];
+    i64 *comm   = (i64 *)A[A_CYCCOMM];
     i64 *refill = (i64 *)A[A_REFILL];
     i64 *ks     = (i64 *)A[A_KSTATE];
 
@@ -313,17 +391,6 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     const i64 MB     = pr[P_MB];
     const i64 mshift = pr[P_MSHIFT];
     const i64 mqmask = pr[P_MQMASK];
-
-    /* scratch layout: sel | dst | pid | bj | comp(2*NPM) | prop(R) | comm(R) */
-    i64 *selv = scri;
-    i64 *dstv = scri + NU;
-    i64 *pidv = scri + 2 * NU;
-    i64 *bjv  = scri + 3 * NU;
-    i64 *comp = scri + 4 * NU;
-    i64 *prop = scri + 4 * NU + 2 * NPM;
-    i64 *comm = prop + R;
-    u8 *have  = scru;
-    u8 *alive = scru + NU;
 
     i64 cycle = ks[K_CYCLE];
     const i64 end = cycle + max_cycles;
@@ -350,111 +417,118 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
         for (i64 r = 0; r < R; r++) { prop[r] = 0; comm[r] = 0; }
 
         for (i64 sub = 0; sub < subc; sub++) {
-            /* ---- propose ---- */
-            i64 any = 0;
+            /* drainer[]/filler[] hold base + row; the base grows by NU
+               every subcycle, so entries left by earlier subcycles read
+               as "no row" without ever being cleared */
+            const i64 base = (cycle * subc + sub) * NU + 1;
+            i64 nrow = 0, nwork = 0;
+
+            /* ---- propose: append rows in ascending port order ---- */
             if (kind == 0) {
                 for (i64 u = 0; u < NU; u++) {
                     i64 src;
+                    if (sub == 1 && !fastp[u]) continue;
                     if (midv[u]) {
                         src = csrc[u];
+                        if (occ[src] <= 0) continue;
                     } else {
-                        i64 a = psrc3[u];
-                        i64 b = psrc3[NU + u];
-                        src = occ[a] > 0 ? a : (occ[b] > 0 ? b : psrc3[2 * NU + u]);
-                    }
-                    u8 h = occ[src] > 0;
-                    if (sub == 1 && !fastp[u]) h = 0;
-                    have[u] = h;
-                    alive[u] = h;
-                    if (!h) continue;
-                    any = 1;
-                    prop[rport[u]]++;
-                    i64 p = slots[(src << blog) + headv[src]];
-                    selv[u] = src;
-                    pidv[u] = p;
-                    dstv[u] = midv[u] ? cdst[u]
-                                      : rttbl[u * (2 * Pn) + prt[p]];
-                }
-            } else {
-                for (i64 u = 0; u < NU; u++) {
-                    i64 rf5 = mr5[u];
-                    i64 src = 0, bju = 0;
-                    u8 h = 0;
-                    if (lockv[u] >= 0) {
-                        src = csrc[u];
-                        h = occ[src] > 0;
-                    } else {
-                        i64 rfl = rf5 / 5;
-                        i64 vloc = rfl % V;
-                        i64 rrbase = rrv[u];
-                        for (i64 jj = 0; jj < 5; jj++) {
-                            i64 j = (rrbase + jj) % 5;
-                            i64 b;
-                            if (j == 4)
-                                b = occ[lqresp[rfl]] > 0 ? lqresp[rfl]
-                                                         : lqreq[rfl];
-                            else
-                                b = inbuf[rf5 + j];
-                            if (occ[b] <= 0 || claim[rf5 + j]) continue;
-                            i64 hp = slots[(b << blog) + headv[b]];
-                            if (route[vloc * Pn + pdest[hp]] != mdir[u])
-                                continue;
-                            src = b; bju = j; h = 1;
-                            break;
+                        src = psrc3[u];
+                        if (occ[src] <= 0) {
+                            src = psrc3[NU + u];
+                            if (occ[src] <= 0) {
+                                src = psrc3[2 * NU + u];
+                                if (occ[src] <= 0) continue;
+                            }
                         }
                     }
-                    have[u] = h;
-                    alive[u] = h;
-                    if (!h) continue;
-                    any = 1;
-                    prop[rport[u]]++;
-                    selv[u] = src;
-                    bjv[u] = bju;
-                    pidv[u] = slots[(src << blog) + headv[src]];
-                    dstv[u] = mdst[u];
+                    i64 p = HEADPKT(src);
+                    i64 d = midv[u] ? cdst[u] : rttbl[u * (2 * Pn) + prt[p]];
+                    PROPOSE(u, src, d, p);
+                }
+            } else {
+                /* one request pass per router: per direction, the mask
+                   of inputs whose head wants it (empty and claimed
+                   inputs ask for nothing), and per input the buffer it
+                   would leave; LOCAL offers lq_resp first */
+                i64 i = 0, rf = 0;
+                for (i64 r = 0; r < R; r++) {
+                    const i64 *rt = route;
+                    for (i64 v = 0; v < V; v++, rf++, rt += Pn) {
+                        i64 *m = req + i;
+                        m[0] = m[1] = m[2] = m[3] = m[4] = 0;
+                        for (i64 j = 0; j < 5; j++, i++) {
+                            i64 b = inbuf[i];
+                            if (j == 4)
+                                b = occ[lqresp[rf]] > 0 ? lqresp[rf] : lqreq[rf];
+                            if (occ[b] > 0 && !claim[i]) {
+                                m[rt[pdest[HEADPKT(b)]]] |= 1 << j;
+                                reqsrc[i] = b;
+                            }
+                        }
+                    }
+                }
+                for (i64 u = 0; u < NU; u++) {
+                    i64 src, j = 0;
+                    if (lockv[u] >= 0) {
+                        src = csrc[u];
+                        if (occ[src] <= 0) continue;
+                    } else {
+                        /* first requester at or after the pointer */
+                        const i64 in0 = mr5[u];
+                        i64 m = req[in0 + mdir[u]];
+                        if (!m) continue;
+                        j = rrv[u];
+                        j += LOWBIT[((m >> j) | (m << (5 - j))) & 31];
+                        if (j >= 5) j -= 5;
+                        src = reqsrc[in0 + j];
+                    }
+                    rowin[nrow] = j;
+                    PROPOSE(u, src, mdst[u], HEADPKT(src));
                 }
             }
-            if (!any) continue;
+            if (!nrow) continue;
 
-            /* ---- resolve: GFP revocation fixed point ---- */
-            i64 anyover = 0;
-            for (i64 u = 0; u < NU; u++)
-                if (alive[u] && occ[dstv[u]] >= capv[dstv[u]]) { anyover = 1; break; }
-            if (anyover) {
-                if (!bypass) {
-                    for (i64 u = 0; u < NU; u++)
-                        if (alive[u] && occ[dstv[u]] >= capv[dstv[u]])
-                            alive[u] = 0;
-                } else {
-                    for (;;) {
-                        for (i64 u = 0; u < NU; u++)
-                            if (alive[u]) drain[selv[u]] = 1;
-                        i64 changed = 0;
-                        for (i64 u = 0; u < NU; u++)
-                            if (alive[u] &&
-                                occ[dstv[u]] - drain[dstv[u]] >= capv[dstv[u]]) {
-                                alive[u] = 0;
-                                changed = 1;
-                            }
-                        for (i64 u = 0; u < NU; u++)
-                            if (have[u]) drain[selv[u]] = 0;
-                        if (!changed) break;
-                    }
+            /* ---- resolve: worklist over the seeded (full-dest) rows ----
+               The survivors are the greatest fixed point of "no row
+               overflows its destination, crediting the slot a surviving
+               row drains from it"; it is unique, so the visiting order
+               is free.  drainer[]/filler[] can name *the* row because
+               every buffer has one reader and every bounded buffer one
+               writer per subcycle: a ring buffer feeds one port; a mesh
+               input's head routes to one direction, and a mid-packet
+               input is claim[]ed by the output locked to it.  At most
+               2*NU pushes: one seed and one re-test per row. */
+            if (!bypass) {
+                while (nwork) rowlive[work[--nwork]] = 0;
+            } else {
+                while (nwork) {
+                    i64 k = work[--nwork];
+                    if (!rowlive[k]) continue;
+                    i64 d = rowdst[k];
+                    i64 dr = drainer[d] - base;
+                    i64 draining = dr >= 0 && rowlive[dr];
+                    if (occ[d] - draining < capv[d]) continue;
+                    rowlive[k] = 0;
+                    /* this row's source no longer drains: re-test the
+                       one row that fills it */
+                    i64 fl = filler[rowsrc[k]] - base;
+                    if (fl >= 0 && rowlive[fl]) work[nwork++] = fl;
                 }
             }
 
             /* ---- commit: all pops before any fill ---- */
-            for (i64 u = 0; u < NU; u++) {
-                if (!alive[u]) continue;
-                comm[rport[u]]++;
-                i64 s = selv[u];
+            for (i64 k = 0; k < nrow; k++) {
+                if (!rowlive[k]) continue;
+                i64 s = rowsrc[k];
                 occ[s]--;
                 headv[s] = (headv[s] + 1) & smask;
             }
-            for (i64 u = 0; u < NU; u++) {
-                if (!alive[u]) continue;
-                i64 d = dstv[u];
-                i64 p = pidv[u];
+            for (i64 k = 0; k < nrow; k++) {
+                if (!rowlive[k]) continue;
+                i64 u = rowport[k];
+                i64 d = rowdst[k];
+                i64 p = rowpid[k];
+                comm[rport[u]]++;
                 flvl[lvlof[u]]++;
                 fmov[rport[u]]++;
                 if (issink[d]) {
@@ -473,37 +547,29 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                     slots[(d << blog) + pos] = p;
                     occ[d]++;
                 }
-            }
-            if (kind == 0) {
-                for (i64 u = 0; u < NU; u++) {
-                    if (!alive[u]) continue;
+                /* wormhole state of the committing port */
+                if (kind == 0) {
                     if (midv[u]) {
                         if (--remv[u] == 0) midv[u] = 0;
-                    } else if (psize[pidv[u]] > 1) {
+                    } else if (psize[p] > 1) {
                         midv[u] = 1;
-                        remv[u] = psize[pidv[u]] - 1;
-                        csrc[u] = selv[u];
-                        cdst[u] = dstv[u];
+                        remv[u] = psize[p] - 1;
+                        csrc[u] = rowsrc[k];
+                        cdst[u] = d;
                     }
-                }
-            } else {
-                for (i64 u = 0; u < NU; u++) {
-                    if (!alive[u]) continue;
-                    if (lockv[u] >= 0) {
-                        if (--remv[u] == 0) {
-                            claim[mr5[u] + lockv[u]] = 0;
-                            lockv[u] = -1;
-                        }
-                    } else {
-                        i64 b = bjv[u];
-                        rrv[u] = (b + 1) % 5;
-                        i64 sz = psize[pidv[u]];
-                        if (sz > 1) {
-                            lockv[u] = b;
-                            claim[mr5[u] + b] = 1;
-                            csrc[u] = selv[u];
-                            remv[u] = sz - 1;
-                        }
+                } else if (lockv[u] >= 0) {
+                    if (--remv[u] == 0) {
+                        claim[mr5[u] + lockv[u]] = 0;
+                        lockv[u] = -1;
+                    }
+                } else {
+                    i64 j = rowin[k];
+                    rrv[u] = j == 4 ? 0 : j + 1;
+                    if (psize[p] > 1) {
+                        lockv[u] = j;
+                        claim[mr5[u] + j] = 1;
+                        csrc[u] = rowsrc[k];
+                        remv[u] = psize[p] - 1;
                     }
                 }
             }
@@ -529,7 +595,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             if (presp[p]) {
                 outv[pm]--;
                 remopen[pm]--;
-                i64 r = pm / Pn;
+                i64 r = rofpm[pm];
                 f64 lat = (f64)(cycle - pissue[p]);
                 rsum[r] += lat;
                 rcnt[r]++;
@@ -572,7 +638,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             ks[K_LOCH]++;
             ks[K_LOCC]--;
             outv[pm]--;
-            i64 r = pm / Pn;
+            i64 r = rofpm[pm];
             f64 lat = (f64)memlat;
             lsum[r] += lat;
             lcnt[r]++;
@@ -615,7 +681,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                 }
             }
             outv[f]++;
-            i64 r = f / Pn;
+            i64 r = rofpm[f];
             if (tg == pmloc[f]) {
                 i64 t = (ks[K_LOCH] + ks[K_LOCC]) & mqmask;
                 locrdy[t] = cycle + memlat;
@@ -672,6 +738,10 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 }
 """
 
+#: Compiler flags of the one build.  The sanitizer test extends this list
+#: in its own subprocess before the first :func:`load`.
+_CFLAGS = ["-O2", "-shared", "-fPIC"]
+
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
 _tried = False
@@ -686,9 +756,16 @@ def _disabled() -> bool:
     )
 
 
+def _find_cc() -> str | None:
+    """The C compiler the kernel is built with, if this platform has one."""
+    if not sys.platform.startswith(("linux", "darwin")):
+        return None
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
 def _compile() -> ctypes.CDLL | None:
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None or not sys.platform.startswith(("linux", "darwin")):
+    cc = _find_cc()
+    if cc is None:
         return None
     tmpdir = tempfile.mkdtemp(prefix="repro-ckernel-")
     try:
@@ -697,7 +774,7 @@ def _compile() -> ctypes.CDLL | None:
         with open(src, "w", encoding="utf-8") as fh:
             fh.write(_SOURCE)
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", so, src],
+            [cc, *_CFLAGS, "-o", so, src],
             capture_output=True,
             timeout=120,
         )

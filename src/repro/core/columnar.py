@@ -305,8 +305,8 @@ class ColumnarEngine:
 
     def _extract_mesh_ports(self, network: object, index: dict[int, int]) -> None:
         from ..mesh.network import MeshNetwork
-        from ..mesh.router import INPUT_ORDER, OUTPUT_ORDER
-        from ..mesh.routing import ecube_next_direction
+        from ..mesh.router import OUTPUT_ORDER
+        from ..mesh.routing import ecube_next_hop_rows
 
         assert isinstance(network, MeshNetwork)
         routers = network.routers
@@ -338,12 +338,15 @@ class ColumnarEngine:
                 m_chan.append(router._out_channel[out_key] is not None)
                 port_names.append(f"{router.name}.{out_key}")
 
-        route = np.zeros((V, P), dtype=np.int64)
-        for v in range(V):
-            for dest in range(P):
-                route[v, dest] = INPUT_ORDER.index(
-                    ecube_next_direction(network.shape, v, dest)
-                )
+        # The compiled routers' cached next-hop rows (one byte per
+        # (node, destination), an index into the shared port order),
+        # widened to the columns' dtype.
+        rows = ecube_next_hop_rows(network.shape)
+        route = (
+            np.frombuffer(b"".join(rows), dtype=np.uint8)
+            .astype(np.int64)
+            .reshape(V, P)
+        )
 
         self.ports_per_replica = len(m_router)
         self._t_port_names = port_names
@@ -620,6 +623,7 @@ class ColumnarEngine:
         from .ckernel import KS, PRM, PTR
 
         NU = self._mid.shape[0]
+        NB1 = self._occ.shape[0]
         NP_ = self._np_
         R = self.replicas
         mq = _pow2(NP_ * self._t_limit + NP_ + 8)
@@ -629,9 +633,31 @@ class ColumnarEngine:
         self._k_mem_pid = np.zeros(mq, dtype=np.int64)
         self._k_loc_ready = np.zeros(mq, dtype=np.int64)
         self._k_loc_pm = np.zeros(mq, dtype=np.int64)
-        self._k_scr_i = np.zeros(4 * NU + 2 * NP_ + 2 * R, dtype=np.int64)
-        self._k_scr_u = np.zeros(2 * NU + 4, dtype=np.uint8)
-        self._k_refill = np.zeros(NP_ + 4, dtype=np.int64)
+        # One subcycle's proposal rows (at most one per port, appended
+        # in ascending port order): port, source and destination
+        # buffer, packet id, survives-resolve flag.
+        self._k_row_port = np.zeros(NU, dtype=np.int64)
+        self._k_row_src = np.zeros(NU, dtype=np.int64)
+        self._k_row_dst = np.zeros(NU, dtype=np.int64)
+        self._k_row_pid = np.zeros(NU, dtype=np.int64)
+        self._k_row_live = np.zeros(NU, dtype=np.uint8)
+        # Per buffer, the stamped row that drains / fills it, and the
+        # resolver's stack (<= NU seeds + one push per revocation).
+        self._k_drainer = np.zeros(NB1, dtype=np.int64)
+        self._k_filler = np.zeros(NB1, dtype=np.int64)
+        self._k_work = np.zeros(2 * NU, dtype=np.int64)
+        if self.kind == "mesh":
+            # Per (router, direction) the mask of inputs whose head
+            # requests it, per router input the buffer that head would
+            # leave, and per row the input that won.
+            NI = self._claimed.shape[0]
+            self._k_req = np.zeros(NI, dtype=np.int64)
+            self._k_req_src = np.zeros(NI, dtype=np.int64)
+            self._k_row_in = np.zeros(NU, dtype=np.int64)
+        # Packets completed this cycle as (pm, packet) pairs: a PM
+        # ejects at most one flit per subcycle.
+        self._k_comp = np.zeros(2 * self._subcycles * NP_, dtype=np.int64)
+        self._k_refill = np.zeros(NP_, dtype=np.int64)
         ks = np.zeros(KS.COUNT, dtype=np.int64)
         ks[KS.NPKT] = self._npkt
         ks[KS.PKT_CAP] = self._pkt_dest.shape[0]
@@ -675,7 +701,6 @@ class ColumnarEngine:
             self._cap,
             self._is_sink.view(np.uint8),
             self._sink_pm,
-            self._drain_flag,
             self._mid.view(np.uint8),
             self._rem,
             self._cont_src,
@@ -705,6 +730,7 @@ class ColumnarEngine:
             self._rx_cnt,
             self._rx_pid,
             self._pm_local,
+            self._r_of_pm,
             self._pend.view(np.uint8),
             self._pend_read.view(np.uint8),
             self._pend_tgt,
@@ -742,8 +768,20 @@ class ColumnarEngine:
             self.local_issued,
             self._flits_level,
             self.flits_moved_replica,
-            self._k_scr_i,
-            self._k_scr_u,
+            self._k_row_port,
+            self._k_row_src,
+            self._k_row_dst,
+            self._k_row_pid,
+            dummy if ring else self._k_row_in,
+            self._k_row_live,
+            self._k_drainer,
+            self._k_filler,
+            self._k_work,
+            dummy if ring else self._k_req,
+            dummy if ring else self._k_req_src,
+            self._k_comp,
+            self._cyc_prop,
+            self._cyc_comm,
             self._k_refill,
             self._kstate,
         ]

@@ -1,0 +1,140 @@
+"""The columnar C kernel must build, build clean, and run under sanitizers.
+
+``ckernel._compile()`` never raises and keeps the compiler's stderr to
+itself, and every kernel-identity test skips when the kernel is
+unavailable — so a ``_SOURCE`` that stopped compiling would turn the
+whole suite green on the numpy path.  Where a C compiler exists these
+tests make that a failure instead, hold the source to
+``-Wall -Wextra -Werror``, and run it under AddressSanitizer and
+UndefinedBehaviorSanitizer with every kernel column a separate heap
+allocation, so an index one past a column's end is a report rather
+than a silent write into its neighbour.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core import ckernel
+
+CC = ckernel._find_cc()
+pytestmark = pytest.mark.skipif(CC is None, reason="no C compiler on PATH")
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
+
+
+def _libasan() -> str | None:
+    """The compiler's ASan runtime, if it ships one as a shared object."""
+    assert CC is not None
+    found = subprocess.run(
+        [CC, "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    # a compiler without the file echoes the bare name back
+    return found if os.path.isabs(found) and os.path.exists(found) else None
+
+
+def test_kernel_builds_where_a_compiler_exists(monkeypatch):
+    monkeypatch.delenv("REPRO_COLUMNAR_KERNEL", raising=False)
+    assert ckernel.available()
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    source = tmp_path / "kernel.c"
+    source.write_text(ckernel._SOURCE, encoding="utf-8")
+    assert CC is not None
+    proc = subprocess.run(
+        [CC, "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Runs in a fresh interpreter with the ASan runtime preloaded: rebuild
+#: the kernel instrumented, then drive it through both fabrics, both
+#: flow controls, a double-speed ring (second subcycle), one-flit mesh
+#: buffers and 36-flit worms (long revocation chains and lock tenures),
+#: packet-table growth and Philox refills.
+_DRIVER = """
+from repro.core import ckernel
+
+ckernel._CFLAGS += ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+assert ckernel.available(), "the instrumented kernel did not build"
+
+from repro.core.columnar import ColumnarEngine
+from repro.core.config import (
+    MeshSystemConfig,
+    RingSystemConfig,
+    SimulationParams,
+    WorkloadConfig,
+)
+
+refills = []
+draw = ColumnarEngine._refill
+
+
+def counting(engine, columns):
+    refills.append(len(columns))
+    draw(engine, columns)
+
+
+ColumnarEngine._refill = counting
+
+
+def drive(system, miss_rate, cycles, seeds):
+    grown = False
+    for flow_control in ("bypass", "conservative"):
+        params = SimulationParams(scheduler="columnar", flow_control=flow_control)
+        workload = WorkloadConfig(locality=0.9, miss_rate=miss_rate, outstanding=4)
+        engine = ColumnarEngine(system, workload, params, seeds)
+        for _ in range(3):
+            engine.run(cycles)
+            engine.take_batch()
+        assert engine.cycle == 3 * cycles
+        assert int(engine.remote_completed.min()) > 0, (system, flow_control)
+        grown |= engine._pkt_dest.shape[0] > 4096
+    return grown
+
+
+grown = False
+for system in (
+    RingSystemConfig(topology="2:2:4", cache_line_bytes=32, global_ring_speed=2),
+    RingSystemConfig(topology="3:3:8", cache_line_bytes=32),
+    MeshSystemConfig(side=4, cache_line_bytes=32, buffer_flits=1),
+    MeshSystemConfig(side=8, cache_line_bytes=128, buffer_flits=4),
+):
+    grown |= drive(system, 0.05, 400, range(1, 9))
+assert grown, "no batch outgrew the initial packet table"
+
+before = len(refills)
+drive(RingSystemConfig(topology="2:4", cache_line_bytes=32), 0.5, 1000, (1, 2))
+assert len(refills) > before + 2, "no column drew a second miss block"
+print("sanitized kernel ok")
+"""
+
+
+def test_kernel_runs_clean_under_asan_and_ubsan():
+    libasan = _libasan()
+    if libasan is None:
+        pytest.skip("the compiler ships no shared ASan runtime")
+    env = {
+        **os.environ,
+        "LD_PRELOAD": libasan,
+        "ASAN_OPTIONS": "detect_leaks=0",
+        "PYTHONPATH": str(SRC_DIR),
+    }
+    env.pop("REPRO_COLUMNAR_KERNEL", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRIVER],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "sanitized kernel ok" in proc.stdout
+    assert "ERROR: AddressSanitizer" not in proc.stderr
+    assert "runtime error:" not in proc.stderr

@@ -28,14 +28,14 @@ from dataclasses import replace
 import pytest
 
 from repro.core import ckernel
-from repro.core.columnar import simulate_columnar
+from repro.core.columnar import ColumnarEngine, simulate_columnar
 from repro.core.config import (
     MeshSystemConfig,
     RingSystemConfig,
     SimulationParams,
     WorkloadConfig,
 )
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, DeadlockError
 from repro.core.simulation import simulate, simulate_batch
 from repro.runtime.serialization import (
     canonical_json,
@@ -64,6 +64,14 @@ def payloads(results):
     return [canonical_json(result_payload(r)) for r in results]
 
 
+def on_both_paths(system, workload, params, monkeypatch):
+    """Seeds 7 and 8 with the C kernel, then on the numpy fallback."""
+    kernel = simulate_columnar(system, workload, params, seeds=(7, 8))
+    monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
+    numpy_only = simulate_columnar(system, workload, params, seeds=(7, 8))
+    return kernel, numpy_only
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_columnar_is_self_deterministic(system):
     """Same seeds twice -> byte-identical canonical result JSON."""
@@ -86,17 +94,99 @@ def test_seed_results_independent_of_batch_composition(system):
 def test_c_kernel_matches_numpy_path(system, monkeypatch):
     """The compiled kernel is an execution detail: forcing the numpy
     fallback (REPRO_COLUMNAR_KERNEL=0) must reproduce the same bytes."""
-    kernel = simulate_columnar(system, WORKLOAD, PARAMS, seeds=(7, 8))
-    monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
-    numpy_only = simulate_columnar(system, WORKLOAD, PARAMS, seeds=(7, 8))
+    kernel, numpy_only = on_both_paths(system, WORKLOAD, PARAMS, monkeypatch)
     assert payloads(kernel) == payloads(numpy_only)
+
+
+#: What the kernel's worklist resolver, per-router request pass and
+#: proposal list could get wrong without the three cells above noticing:
+#: a lone ring and a deep one carrying 128-B lines, one-flit and
+#: whole-packet mesh buffers under 36-flit worms (long lock tenures and
+#: revocation chains), the second subcycle of a double-speed ring.
+KERNEL_SYSTEMS = [
+    *SYSTEMS,
+    pytest.param(RingSystemConfig(topology="8", cache_line_bytes=32), id="ring-single"),
+    pytest.param(
+        RingSystemConfig(topology="3:3:4", cache_line_bytes=128), id="ring-3level-128B"
+    ),
+    pytest.param(
+        MeshSystemConfig(side=4, cache_line_bytes=128, buffer_flits=1),
+        id="mesh-buf1-128B",
+    ),
+    pytest.param(
+        MeshSystemConfig(side=4, cache_line_bytes=128, buffer_flits="cl"),
+        id="mesh-bufcl-128B",
+    ),
+]
+
+
+@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+@pytest.mark.parametrize("flow_control", ["bypass", "conservative"])
+@pytest.mark.parametrize("miss_rate", [0.002, 0.04, 0.2])
+@pytest.mark.parametrize("system", KERNEL_SYSTEMS)
+def test_c_kernel_matches_numpy_path_matrix(
+    system, miss_rate, flow_control, monkeypatch
+):
+    """Kernel identity from a nearly idle network (quiet jumps) to every
+    buffer full (the whole ring rotates: every row is seeded for
+    revocation and none may be revoked), under both flow controls."""
+    workload = replace(WORKLOAD, miss_rate=miss_rate)
+    params = replace(PARAMS, batch_cycles=200, flow_control=flow_control)
+    kernel, numpy_only = on_both_paths(system, workload, params, monkeypatch)
+    assert payloads(kernel) == payloads(numpy_only)
+
+
+@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+def test_c_kernel_matches_numpy_path_through_hand_backs(monkeypatch):
+    """Long enough that the kernel hands control back for both of its
+    Python-side services: a grown packet table and fresh miss blocks."""
+    refills = []
+    draw = ColumnarEngine._refill
+
+    def counting(engine, columns):
+        refills.append(len(columns))
+        draw(engine, columns)
+
+    monkeypatch.setattr(ColumnarEngine, "_refill", counting)
+    workload = replace(WORKLOAD, miss_rate=0.5)
+    params = replace(PARAMS, batch_cycles=1000)
+    kernel, numpy_only = on_both_paths(RING, workload, params, monkeypatch)
+    assert payloads(kernel) == payloads(numpy_only)
+    # more packets than the initial table holds; more block draws than
+    # the one per path that fills every column at build
+    assert 2 * sum(r.remote_transactions for r in kernel) > 4096
+    assert len(refills) > 2
+
+
+@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+@pytest.mark.parametrize("flow_control", ["bypass", "conservative"])
+@pytest.mark.parametrize("system", [SYSTEMS[0], SYSTEMS[2]])
+def test_c_kernel_watchdog_matches_numpy_path(system, flow_control, monkeypatch):
+    """Wedge one replica mid-run (its bounded buffers stop accepting, so
+    every row it proposes is revoked): both paths must name the same
+    replica at the same cycle, and leave its neighbours running."""
+    params = replace(PARAMS, flow_control=flow_control, deadlock_threshold=7)
+
+    def report():
+        engine = ColumnarEngine(system, WORKLOAD, params, seeds=(7, 8, 9))
+        engine.run(100)
+        per_replica = engine.buffers_per_replica
+        caps = engine._cap[per_replica : 2 * per_replica]
+        caps[~engine._is_sink[per_replica : 2 * per_replica]] = 0
+        with pytest.raises(DeadlockError, match=r"columnar replica 1 \(seed 8\)") as excinfo:
+            engine.run(1000)
+        return str(excinfo.value), engine.cycle
+
+    kernel = report()
+    monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
+    assert report() == kernel
 
 
 @pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
 def test_columnar_batch_clears_the_throughput_floor():
     """What the tier trades byte-identity for: at mid load an 8-replica
     columnar batch must move >= 5x the aggregate cycles x replicas per
-    second of a solo ``compiled`` run (measured ~24x).  Best of three
+    second of a solo ``compiled`` run.  Best of three
     interleaved repeats: noise only slows a run down, and the first
     columnar call of a process pays one-time set-up."""
     system = RingSystemConfig(topology="3:8", cache_line_bytes=32)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.checkers.specs import mesh_legal_outputs
+from repro.core.columnar import ColumnarEngine
+from repro.core.config import MeshSystemConfig, SimulationParams, WorkloadConfig
 from repro.mesh.router import _RR_PICK, INPUT_ORDER, OUTPUT_ORDER
 from repro.mesh.routing import (
     LOCAL,
@@ -52,6 +54,19 @@ class TestNextHopRows:
 
     def test_rows_are_shared_per_shape(self):
         assert ecube_next_hop_rows(MeshShape(4)) is ecube_next_hop_rows(MeshShape(4))
+
+    @pytest.mark.parametrize("side", range(1, 7))
+    def test_columnar_route_table_is_the_rows(self, side):
+        """The columnar tier reads the same tabulation, widened to int64."""
+        engine = ColumnarEngine(
+            MeshSystemConfig(side=side, cache_line_bytes=32, buffer_flits=4),
+            WorkloadConfig(miss_rate=0.02),
+            SimulationParams(scheduler="columnar"),
+            seeds=(1,),
+        )
+        rows = ecube_next_hop_rows(MeshShape(side))
+        assert engine._t_route.dtype == "int64"
+        assert engine._t_route.tolist() == [list(row) for row in rows]
 
 
 def test_rr_pick_matches_a_modular_scan():
