@@ -17,43 +17,94 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproductions.
 """
 
-from .core.config import (
-    CACHE_LINE_SIZES,
-    CL_BUFFER,
-    DEFAULT_SIM,
-    QUICK_SIM,
-    THOROUGH_SIM,
-    MeshSystemConfig,
-    PacketGeometry,
-    RingSystemConfig,
-    SimulationParams,
-    WorkloadConfig,
-    format_hierarchy,
-    hierarchy_processors,
-    mesh_packet_geometry,
-    parse_hierarchy,
-    ring_packet_geometry,
-)
-from .core.errors import (
-    ConfigurationError,
-    DeadlockError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-)
-from .core.adaptive import AdaptiveResult, simulate_to_precision
-from .core.packet import Flit, Packet, PacketType
-from .core.simulation import SimulationResult, simulate
-from .core.statistics import BatchMeans, RateMeter, Summary
-from .ring.topology import (
-    PAPER_TABLE2,
-    SINGLE_RING_MAX,
-    HierarchySpec,
-    candidate_topologies,
-    recommended_topology,
-)
+from __future__ import annotations
+
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 __version__ = "1.0.0"
+
+# Public names resolve on first access (PEP 562), so ``import repro`` —
+# which every ``import repro.<anything>`` runs first — loads no
+# submodule: a process that only replays cached results never imports
+# the engine (DESIGN.md §5, "Import closure").  The imports below are
+# what ``__getattr__`` performs, spelled out for mypy and IDEs.
+if TYPE_CHECKING:
+    from .core.config import (
+        CACHE_LINE_SIZES,
+        CL_BUFFER,
+        DEFAULT_SIM,
+        QUICK_SIM,
+        THOROUGH_SIM,
+        MeshSystemConfig,
+        PacketGeometry,
+        RingSystemConfig,
+        SimulationParams,
+        WorkloadConfig,
+        format_hierarchy,
+        hierarchy_processors,
+        mesh_packet_geometry,
+        parse_hierarchy,
+        ring_packet_geometry,
+    )
+    from .core.errors import (
+        ConfigurationError,
+        DeadlockError,
+        ReproError,
+        SimulationError,
+        TopologyError,
+    )
+    from .core.adaptive import AdaptiveResult, simulate_to_precision
+    from .core.packet import Flit, Packet, PacketType
+    from .core.simulation import SimulationResult, simulate
+    from .core.statistics import BatchMeans, RateMeter, Summary
+    from .ring.topology import (
+        PAPER_TABLE2,
+        SINGLE_RING_MAX,
+        HierarchySpec,
+        candidate_topologies,
+        recommended_topology,
+    )
+
+#: Defining submodule of every public name.
+_EXPORTS = {
+    "core.adaptive": ("AdaptiveResult", "simulate_to_precision"),
+    "core.config": (
+        "CACHE_LINE_SIZES",
+        "CL_BUFFER",
+        "DEFAULT_SIM",
+        "QUICK_SIM",
+        "THOROUGH_SIM",
+        "MeshSystemConfig",
+        "PacketGeometry",
+        "RingSystemConfig",
+        "SimulationParams",
+        "WorkloadConfig",
+        "format_hierarchy",
+        "hierarchy_processors",
+        "mesh_packet_geometry",
+        "parse_hierarchy",
+        "ring_packet_geometry",
+    ),
+    "core.errors": (
+        "ConfigurationError",
+        "DeadlockError",
+        "ReproError",
+        "SimulationError",
+        "TopologyError",
+    ),
+    "core.packet": ("Flit", "Packet", "PacketType"),
+    "core.simulation": ("SimulationResult", "simulate"),
+    "core.statistics": ("BatchMeans", "RateMeter", "Summary"),
+    "ring.topology": (
+        "PAPER_TABLE2",
+        "SINGLE_RING_MAX",
+        "HierarchySpec",
+        "candidate_topologies",
+        "recommended_topology",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "CACHE_LINE_SIZES",
@@ -92,3 +143,16 @@ __all__ = [
     "simulate",
     "simulate_to_precision",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later accesses never reach __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

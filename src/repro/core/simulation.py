@@ -20,15 +20,19 @@ from .config import (
     SimulationParams,
     WorkloadConfig,
 )
-from .engine import Engine
 from .errors import ConfigurationError
-from .pm import MetricsHub
-from .processor import MissSource
 from .statistics import RateMeter, Summary
 
+# This module defines the result type every cached-replay path
+# deserializes into, so importing it must not import the simulator:
+# ``simulate``/``simulate_batch``/``build_network`` import the engine
+# stack on their first call (DESIGN.md §5, "Import closure";
+# tests/runtime/test_import_closure.py holds the line).
 if TYPE_CHECKING:
     from ..mesh.network import MeshNetwork
     from ..ring.network import HierarchicalRingNetwork
+    from .pm import MetricsHub
+    from .processor import MissSource
 
 SystemConfig = RingSystemConfig | MeshSystemConfig
 
@@ -185,6 +189,9 @@ def simulate(
             system, workload, params, seeds=(params.seed,)
         )[0]
 
+    from .engine import Engine
+    from .pm import MetricsHub
+
     metrics = MetricsHub()
     network = build_network(
         system, workload, metrics, seed=params.seed, miss_sources=miss_sources
@@ -294,6 +301,7 @@ def simulate_batch(
             "the batched scheduler requires numpy; install it or use "
             "scheduler='compiled'"
         ) from exc
+    from .pm import MetricsHub
 
     engine = BatchedEngine(
         deadlock_threshold=params.deadlock_threshold,

@@ -21,13 +21,15 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from ..core.simulation import SimulationResult
 from .serialization import canonical_json, result_from_payload, result_payload
-from .spec import PointSpec
+
+if TYPE_CHECKING:
+    from ..core.simulation import SimulationResult
+    from .spec import PointSpec
 
 #: Default cache root, relative to the working directory; override with
 #: the ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir``.
@@ -142,11 +144,18 @@ class ResultCache:
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(result_payload(result), sort_keys=True))
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(json.dumps(result_payload(result), sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            # Gone after a successful replace; left over only when the
+            # write or the rename raised.
+            tmp.unlink(missing_ok=True)
 
     def clear(self) -> int:
         """Delete the whole cache root; returns entries removed."""
+        import shutil  # only this rarely-taken path needs it
+
         removed = len(list(self.root.rglob("*.json"))) if self.root.exists() else 0
         shutil.rmtree(self.root, ignore_errors=True)
         return removed

@@ -26,8 +26,10 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..core.simulation import SimulationResult
+if TYPE_CHECKING:
+    from ..core.simulation import SimulationResult
 
 #: Defaults, overridable via ``REPRO_MEMCACHE_ENTRIES`` /
 #: ``REPRO_MEMCACHE_BYTES`` (0 disables the memory tier).

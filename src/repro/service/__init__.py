@@ -20,6 +20,16 @@ Served results are byte-identical to a direct
 ``svc_cold`` / ``svc_warm`` workloads of ``python -m bench.run``.
 """
 
+# The service process exists to simulate, so it loads the simulator
+# first thing: every pool it ever forks inherits the loaded modules
+# (``warm_up`` then leaves nothing for a first request to import), and
+# importing the engine ahead of asyncio and the HTTP stack, as ``import
+# repro`` used to, keeps the process's peak RSS where it was (DESIGN.md
+# §5, "Import closure").
+from ..runtime.runner import _load_simulator
+
+_load_simulator()
+
 from .app import DEFAULT_HOST, DEFAULT_PORT, ServiceHandle, SweepService, start_in_thread
 from .client import AsyncServiceClient, ServiceClient, ServiceError
 from .events import EventLog

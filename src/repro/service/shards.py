@@ -8,18 +8,24 @@ identical requests can never fan the same simulation across pools.
 
 Every pool worker is initialized with the parent's precomputed
 code-version salt (:func:`repro.runtime.prime_code_version_salt`), so
-workers never re-hash the whole package's sources.
+workers never re-hash the whole package's sources, and every pool forks
+from a process that already holds the simulator (the package loads it
+on import, see ``__init__.py``), so workers inherit it rather than
+importing it inside their first point.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
-from ..core.simulation import SimulationResult
 from ..runtime import PointSpec, prime_code_version_salt
 from ..runtime.runner import _execute
+
+if TYPE_CHECKING:
+    from ..core.simulation import SimulationResult
 
 
 def _warm() -> bool:
@@ -61,7 +67,8 @@ class ShardedPools:
         return int(spec_key[:8], 16) % len(self._pools)
 
     def warm_up(self) -> None:
-        """Spawn every worker now so first requests don't pay fork cost."""
+        """Spawn every worker now so first requests don't pay fork cost
+        (nor the simulator's import: the workers inherit it)."""
         waits = []
         for pool in self._pools:
             waits.extend(pool.submit(_warm) for __ in range(self.workers_per_shard))

@@ -22,13 +22,15 @@ exactly one simulation and N−1 awaits.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable
+from typing import TYPE_CHECKING, Awaitable, Callable
 
-from ..core.simulation import SimulationResult
 from ..runtime import GLOBAL_MEMCACHE, MemCache, PointSpec, ResultCache
 from ..runtime.memcache import entry_key
 from ..runtime.runner import cache_lookup, cache_store
 from ..runtime.serialization import canonical_json, result_payload
+
+if TYPE_CHECKING:
+    from ..core.simulation import SimulationResult
 
 #: How a response was produced, in increasing order of cost.
 SOURCES = ("mem", "disk", "dedup", "computed")

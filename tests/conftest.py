@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,6 +26,32 @@ from repro import (
     SimulationParams,
     WorkloadConfig,
 )
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_child(code: str, *args: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    report["stdout"] = proc.stdout
+    return report
+
+
+@pytest.fixture(scope="session")
+def run_child():
+    """``run_child(code, *argv)``: run *code* in a fresh interpreter
+    (``PYTHONPATH=src`` only) and return the JSON object it prints last,
+    plus its whole ``stdout`` — for what this process, with the simulator
+    long imported, can no longer observe."""
+    return _run_child
+
 
 #: Short but statistically usable run for integration tests.
 TEST_SIM = SimulationParams(batch_cycles=600, batches=3, seed=7)

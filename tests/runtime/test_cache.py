@@ -102,6 +102,30 @@ class TestResultCache:
         assert hit[0] == canonical_json(result_payload(result))
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        spec = _spec()
+        result = simulate(spec.system, spec.workload, spec.params)
+        cache = ResultCache(tmp_path)
+        cache.path_for(spec).mkdir(parents=True)  # os.replace onto a directory fails
+        with pytest.raises(OSError):
+            cache.put(spec, result)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes through directory modes")
+    def test_unwritable_parent_raises_and_leaves_no_temp_file(self, tmp_path):
+        spec = _spec()
+        result = simulate(spec.system, spec.workload, spec.params)
+        cache = ResultCache(tmp_path)
+        parent = cache.path_for(spec).parent
+        parent.mkdir(parents=True)
+        parent.chmod(0o500)
+        try:
+            with pytest.raises(PermissionError):
+                cache.put(spec, result)
+        finally:
+            parent.chmod(0o700)
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_get_entry_text_is_canonical(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = _spec()

@@ -1,6 +1,7 @@
 """Unit tests for the service building blocks (no HTTP, no threads)."""
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -215,3 +216,35 @@ class TestTieredCache:
         text, source = asyncio.run(run())
         assert source == "computed"
         assert text == canonical_json(result_payload(sample[1]))
+
+
+# Runs in a child interpreter: this process imported the engine long
+# ago, so any worker it forks would trivially hold it.
+_WARMED_WORKER = """
+import json, sys
+from repro.runtime import code_version_salt
+from repro.service import ShardedPools
+
+def engine_loaded():
+    return "repro.core.engine" in sys.modules
+
+pools = ShardedPools(1, 1, code_version_salt())
+try:
+    pools.warm_up()
+    # one shard, one worker: this lands on the worker warm_up spawned
+    loaded = pools._pools[0].submit(engine_loaded).result()
+finally:
+    pools.shutdown()
+print(json.dumps({"worker_holds_engine": loaded}))
+"""
+
+
+class TestShardedPools:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the service process's modules",
+    )
+    def test_warmed_worker_already_holds_the_simulator(self, run_child):
+        """The first never-seen point after ``warm_up`` must not pay the
+        engine import inside the request."""
+        assert run_child(_WARMED_WORKER)["worker_holds_engine"] is True
