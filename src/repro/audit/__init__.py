@@ -4,8 +4,8 @@
 protocol invariants the simulator's correctness argument rests on
 (flit conservation, buffer bounds, wormhole contiguity, transaction
 lifecycle, transit priority — see :mod:`repro.audit.invariants` for the
-full list), and fuzzes the three schedulers against each other on
-randomized small configurations (:mod:`repro.audit.fuzz`).
+full list), and fuzzes the schedulers against each other on randomized
+small configurations (:mod:`repro.audit.fuzz`).
 
 Auditing follows the :mod:`repro.core.profiling` pattern: zero cost
 when off, ambient enable/disable around a run::
@@ -16,12 +16,13 @@ when off, ambient enable/disable around a run::
         result = simulate(system, workload, params)
     print(auditor.describe())
 
-The columnar scheduler gives up byte-identity for throughput, so it is
-gated statistically instead: :mod:`repro.audit.stat_equiv` runs paired
-columnar-vs-bit-exact campaigns (overlapping cross-seed confidence
-intervals for latency/throughput on every paper topology) and samples
-running columnar engines, materializing one replica's columns back
-into object form to check the same structural invariants.
+The columnar scheduler steps flat columns in a C kernel, out of the
+per-cycle auditor's reach, and returns ``compiled``'s bytes:
+:mod:`repro.audit.stat_equiv` runs paired columnar-vs-baseline
+campaigns gated on byte-equal per-seed payloads on every paper
+topology, and samples running columnar engines, materializing one
+replica's columns back into object form to check the same structural
+invariants.
 
 Command line (see ``python -m repro.audit --help``)::
 

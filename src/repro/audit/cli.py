@@ -18,11 +18,11 @@
     fails (i.e. exit 0 means the bug it captured is fixed).
 
 ``stat-equiv``
-    Paired columnar-vs-bit-exact campaign (:mod:`repro.audit.stat_equiv`):
+    Paired columnar-vs-baseline campaign (:mod:`repro.audit.stat_equiv`):
     every paper topology family runs under both schedulers across a
-    common seed set, gated on overlapping cross-seed 95% confidence
-    intervals for latency and throughput plus flit-volume agreement.
-    Exit 1 if any point fails.
+    common seed set, gated on byte-equal per-seed result payloads (the
+    cross-seed 95% confidence intervals and flit-volume ratio they
+    imply are still reported).  Exit 1 if any point fails.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     fuzz_p.add_argument(
         "--include-columnar",
         action="store_true",
-        help="also run each clean case under the columnar scheduler "
-        "with the sampled materialization audit and loose statistical "
-        "sanity gates",
+        help="also run each case on the columnar C kernel with the "
+        "sampled materialization audit; its result must equal the "
+        "baseline byte for byte",
     )
 
     sub.add_parser("smoke", help="audited scheduler-identity smoke matrix")
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     replay_p.add_argument("file", type=Path, help="reproducer JSON path")
 
     equiv_p = sub.add_parser(
-        "stat-equiv", help="columnar statistical-equivalence campaign"
+        "stat-equiv", help="paired columnar-vs-baseline campaign (exact)"
     )
     equiv_p.add_argument(
         "--seeds", type=int, default=8, help="seeds per side of each paired point"

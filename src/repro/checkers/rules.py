@@ -179,9 +179,9 @@ def check_set_iteration(context: ModuleContext) -> Iterator[Finding]:
 _CLOCK_MODULES = ("time", "datetime")
 
 #: numpy.random constructors that take an explicit seed/key: calling
-#: them *with* arguments is the sanctioned counter-based-stream path
-#: (the columnar engine's per-replica Philox columns); calling
-#: ``default_rng()`` bare draws from OS entropy like ``Random()``.
+#: them *with* arguments is a deterministic source, like a seeded
+#: ``random.Random``; calling ``default_rng()`` bare draws from OS
+#: entropy like ``Random()``.
 _NUMPY_SEEDED_CTORS = {"default_rng", "Generator", "Philox", "PCG64", "SeedSequence"}
 
 

@@ -1,33 +1,43 @@
-"""Optional compiled fast path for the columnar engine.
+"""The C kernel of the columnar tier: ``compiled``'s cycle over columns.
 
-The columnar scheduler's per-cycle work is a few hundred numpy calls on
-short arrays, so at the 8-replica bench scale it is *dispatch*-bound:
-the arithmetic is trivial but every masked gather/scatter pays ~1µs of
-interpreter and ufunc overhead.  This module removes that floor when a
-C toolchain is present: the same flat int64/uint8/float64 state arrays
-are handed to a small C kernel (compiled once per process with the
-system ``cc`` and bound through :mod:`ctypes`) that runs the same
-propose/resolve/commit/update cycle as plain loops over the ports and,
-from resolve on, over only the rows that proposed.
+:mod:`repro.core.columnar` lays every replica of a point out as flat
+int64/uint8/uint32/float64 arrays; this module hands them to a small C
+kernel (compiled once per process with the system ``cc`` and bound
+through :mod:`ctypes`) that runs the propose/resolve/commit/update
+cycle as plain loops over the ports and, from resolve on, over only the
+rows that proposed.  Nothing else steps those columns: the kernel *is*
+the tier's engine.
 
-The kernel is an *accelerator, not a second model*: a columnar run
-produces bit-identical results with the kernel on or off
-(``tests/integration/test_columnar.py`` locks this).  Statistical
-equivalence versus ``compiled`` is therefore established once, at the
-columnar-model level, by :mod:`repro.audit.stat_equiv` — the kernel
-inherits it.  Identity rests on three things, none of which is "the
-same loops as numpy":
+It is the integer twin of the compiled object engine, and a replica's
+result serializes to the bytes of a solo ``compiled`` run of its seed
+(``tests/integration/test_columnar.py`` holds it to that).  The
+agreement rests on one shared stream and three structural facts:
 
-* **Commit order is the numpy path's.**  Propose appends one row per
-  proposing port to a compact list in ascending port order; the pops,
-  then the fills with their wormhole-state and completion bookkeeping,
-  walk that list (all pops before any fill), so ``comp[]`` order, hence
-  PM update order and every Philox draw, match the order the
-  vectorized path scatters in.
-* **Resolve is a worklist, not the numpy path's Jacobi sweeps** — the
-  integer twin of ``Engine._resolve_compiled``.  A row can only be
-  revoked if its bounded destination is already full, so propose seeds
-  a stack with exactly those rows; the resolver pops a row, re-tests
+* **The miss stream is the object model's.**  Each (replica, pm)
+  column owns an MT19937 state seeded by ``init_by_array`` over the
+  little-endian 32-bit words of ``abs(seed * 1_000_003 + pm)`` — what
+  ``random.Random(n)`` does — and ``draw_gap`` / the generate loop
+  consume it exactly as ``MissGenerator._advance_schedule`` does: one
+  ``random()`` per unblocked cycle until ``< miss_rate``, then
+  ``random() < read_fraction``, then the selector's
+  ``pool[_randbelow(len(pool))]`` with ``_randbelow``'s
+  ``getrandbits(n.bit_length())`` rejection loop (DESIGN.md §9 has the
+  table).  A PM's stream depends on nothing but how many draws it has
+  made, so drawing a gap's Bernoullis in one run when the previous miss
+  is consumed — at most ``LOOKAHEAD_CHUNK`` per visit — reads the same
+  words as drawing one per cycle.
+* **Arbitration reads start-of-subcycle state.**  A ring port takes the
+  first non-empty source in static priority order (or streams the
+  source it is locked to); a free mesh output takes the first
+  requesting input at or after its round-robin pointer.  Occupancy,
+  claims and pointers do not change inside a propose pass, so each
+  router's inputs are classified once into a per-direction request mask
+  — PR 18's request word over columns — and the winner is the object
+  router's.  Rows are appended in ascending port order.
+* **Resolve is a worklist over the greatest fixed point** — the twin of
+  ``Engine._resolve_compiled``.  A row can only be revoked if its
+  bounded destination is already full, so propose seeds a stack with
+  exactly those rows; the resolver pops a row, re-tests
   ``occ[d] - draining >= cap[d]``, revokes it, and pushes the one row
   that fills the revoked row's source.  The surviving set is the
   greatest fixed point of "no survivor overflows its destination given
@@ -38,18 +48,19 @@ same loops as numpy":
   a mid-packet input is claimed, ``claim[]``, by the output locked to
   it) and every bounded buffer one writer (one upstream port or router
   output).
-* **Mesh arbitration reads one request pass per router** — PR 18's
-  request-word idea over columns.  Occupancy, claims and round-robin
-  pointers do not change inside a propose pass, so each input's head is
-  classified once into a per-direction mask of requesting inputs and
-  each free output takes the first requester at or after its pointer:
-  the same winner as rescanning the five inputs per output.
+* **PMs only meet through buffers.**  Commit pops every surviving
+  row's source before filling any destination; the update phase then
+  runs eject, memory service, local completion, generate and staging
+  drain per PM in the object model's order.  A PM's update reads and
+  writes only its own queues, counters and stream, so the order PMs are
+  visited in cannot show in any result.
 
 Gating: compilation is attempted lazily on first use and never raises —
 any failure (no compiler, sandboxed filesystem, unsupported platform)
-marks the kernel unavailable and the engine silently keeps its numpy
-path.  Set ``REPRO_COLUMNAR_KERNEL=0`` to force the numpy path, e.g.
-when profiling it or reproducing kernel-off CI lanes.
+marks the kernel unavailable, and :func:`repro.core.columnar.simulate_columnar`
+then runs each seed under ``compiled``: same bytes, no batch speed-up.
+Set ``REPRO_COLUMNAR_KERNEL=0`` to force that route, e.g. to price the
+kernel against it or reproduce kernel-off CI lanes.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ __all__ = ["available", "load", "PTR", "KS", "PRM"]
 
 
 class PTR:
-    """Slot order of the pointer table handed to ``step_cycles``.
+    """Slot order of the pointer table handed to the kernel's entry points.
 
     Must match the ``A_*`` enum in the C source below.  Slots a
     topology kind does not use (ring tables on a mesh run and vice
@@ -113,57 +124,58 @@ class PTR:
     PEND = 36
     PEND_RD = 37
     PEND_TGT = 38
-    CURSOR = 39
-    GAP = 40
-    READ = 41
-    TGT = 42
-    COUNTDOWN = 43
-    PKT_DEST = 44
-    PKT_SRC = 45
-    PKT_SIZE = 46
-    PKT_ISSUE = 47
-    PKT_RESP = 48
-    PKT_READ = 49
-    PKT_RT = 50
-    MEM_READY = 51
-    MEM_PM = 52
-    MEM_PID = 53
-    LOC_READY = 54
-    LOC_PM = 55
-    STALLED = 56
-    REM_SUM = 57
-    REM_CNT = 58
-    REM_MIN = 59
-    REM_MAX = 60
-    REM_LAST = 61
-    LOC_SUM = 62
-    LOC_CNT = 63
-    LOC_MIN = 64
-    LOC_MAX = 65
-    LOC_LAST = 66
-    REMOTE_COMPLETED = 67
-    LOCAL_COMPLETED = 68
-    REMOTE_ISSUED = 69
-    LOCAL_ISSUED = 70
-    FLITS_LEVEL = 71
-    FLITS_MOVED = 72
-    ROW_PORT = 73
-    ROW_SRC = 74
-    ROW_DST = 75
-    ROW_PID = 76
-    ROW_IN = 77
-    ROW_LIVE = 78
-    DRAINER = 79
-    FILLER = 80
-    WORK = 81
-    REQ = 82
-    REQ_SRC = 83
-    COMP = 84
-    CYC_PROP = 85
-    CYC_COMM = 86
-    REFILL = 87
-    KSTATE = 88
-    COUNT = 89
+    COUNTDOWN = 39
+    MORE = 40
+    MT = 41
+    MT_KEY = 42
+    POOL = 43
+    POOL_ROW = 44
+    DRAW_P = 45
+    PKT_DEST = 46
+    PKT_SRC = 47
+    PKT_SIZE = 48
+    PKT_ISSUE = 49
+    PKT_RESP = 50
+    PKT_READ = 51
+    PKT_RT = 52
+    MEM_READY = 53
+    MEM_PM = 54
+    MEM_PID = 55
+    LOC_READY = 56
+    LOC_PM = 57
+    STALLED = 58
+    REM_SUM = 59
+    REM_CNT = 60
+    REM_MIN = 61
+    REM_MAX = 62
+    REM_LAST = 63
+    LOC_SUM = 64
+    LOC_CNT = 65
+    LOC_MIN = 66
+    LOC_MAX = 67
+    LOC_LAST = 68
+    REMOTE_COMPLETED = 69
+    LOCAL_COMPLETED = 70
+    REMOTE_ISSUED = 71
+    LOCAL_ISSUED = 72
+    FLITS_LEVEL = 73
+    FLITS_MOVED = 74
+    ROW_PORT = 75
+    ROW_SRC = 76
+    ROW_DST = 77
+    ROW_PID = 78
+    ROW_IN = 79
+    ROW_LIVE = 80
+    DRAINER = 81
+    FILLER = 82
+    WORK = 83
+    REQ = 84
+    REQ_SRC = 85
+    COMP = 86
+    CYC_PROP = 87
+    CYC_COMM = 88
+    KSTATE = 89
+    COUNT = 90
 
 
 class KS:
@@ -207,29 +219,29 @@ class PRM:
     THRESHOLD = 18
     STGCAP = 19
     STGMASK = 20
-    MB = 21
-    MSHIFT = 22
-    MQ_MASK = 23
+    MQ_MASK = 21
+    CHUNK = 22  # Bernoulli draws per visit (processor.LOOKAHEAD_CHUNK)
+    KEY_WORDS = 23  # row width of the seeding key table
     COUNT = 24
 
 
 #: step_cycles return codes.
 STATUS_DONE = 0
-STATUS_REFILL = 1
 STATUS_PKT_GROW = 2
 STATUS_DEADLOCK = 3
 
 _SOURCE = r"""
 #include <stdint.h>
 
-typedef int64_t i64;
-typedef uint8_t u8;
-typedef double  f64;
+typedef int64_t  i64;
+typedef uint32_t u32;
+typedef uint8_t  u8;
+typedef double   f64;
 
 enum { P_KIND, P_R, P_U, P_P, P_L, P_NB, P_NU, P_NPM, P_V, P_SENT,
        P_SMASK, P_BLOG, P_SUBC, P_MEMLAT, P_TLIM, P_HDR, P_CL,
-       P_BYPASS, P_THRESH, P_STGCAP, P_STGMASK, P_MB, P_MSHIFT,
-       P_MQMASK };
+       P_BYPASS, P_THRESH, P_STGCAP, P_STGMASK, P_MQMASK, P_CHUNK,
+       P_KEYW };
 
 enum { K_CYCLE, K_NPKT, K_PKTCAP, K_NETF, K_STGTOT, K_PENDTOT,
        K_MEMH, K_MEMC, K_LOCH, K_LOCC, K_ARG };
@@ -242,7 +254,8 @@ enum {
  A_CLAIM, A_RR, A_LOCK,
  A_STGQ, A_STGQCAP, A_STGPID, A_STGHEAD, A_STGCNT,
  A_OUT, A_REMOPEN, A_RXCNT, A_RXPID, A_PMLOCAL, A_ROFPM,
- A_PEND, A_PENDRD, A_PENDTGT, A_CURSOR, A_GAP, A_READ, A_TGT, A_CD,
+ A_PEND, A_PENDRD, A_PENDTGT, A_CD,
+ A_MORE, A_MT, A_MTKEY, A_POOL, A_POOLROW, A_DRAWP,
  A_PDEST, A_PSRC, A_PSIZE, A_PISSUE, A_PRESP, A_PREAD, A_PRT,
  A_MEMREADY, A_MEMPM, A_MEMPID, A_LOCREADY, A_LOCPM,
  A_STALLED,
@@ -253,7 +266,114 @@ enum {
  A_ROWPORT, A_ROWSRC, A_ROWDST, A_ROWPID, A_ROWIN, A_ROWLIVE,
  A_DRAINER, A_FILLER, A_WORK, A_REQ, A_REQSRC,
  A_COMP, A_CYCPROP, A_CYCCOMM,
- A_REFILL, A_KSTATE };
+ A_KSTATE };
+
+/* ---- the miss stream: MT19937 exactly as random.Random runs it ----
+   One state per (replica, pm) column: 624 words and the read index.
+   Everything below is CPython's _randommodule.c in unsigned 32-bit
+   arithmetic, so a column seeded with n yields random.Random(n)'s
+   words, and the three draws consume them as MissGenerator does. */
+#define MT_N 624
+#define MT_M 397
+#define MT_STATE (MT_N + 1)
+
+/* random.seed(n): init_by_array over abs(n)'s little-endian words. */
+static void mt_seed(u32 *mt, const u32 *key, u32 klen)
+{
+    u32 i, j = 0, k;
+    mt[0] = 19650218U;
+    for (i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
+    i = 1;
+    for (k = MT_N > klen ? MT_N : klen; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + j;
+        if (++i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
+        if (++j >= klen) j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+                - i;
+        if (++i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
+    }
+    mt[0] = 0x80000000U;
+    mt[MT_N] = MT_N;
+}
+
+#define MT_TWIST(a, b, c) do {                                       \
+        u32 y = (mt[a] & 0x80000000U) | (mt[b] & 0x7fffffffU);       \
+        mt[a] = mt[c] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);    \
+    } while (0)
+
+static u32 mt_u32(u32 *mt)
+{
+    u32 y;
+    if (mt[MT_N] >= MT_N) {
+        u32 k;
+        for (k = 0; k < MT_N - MT_M; k++) MT_TWIST(k, k + 1, k + MT_M);
+        for (; k < MT_N - 1; k++) MT_TWIST(k, k + 1, k - (MT_N - MT_M));
+        MT_TWIST(MT_N - 1, 0, MT_M - 1);
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* random.random().  Exact whether or not the compiler contracts the
+   expression into a fused multiply-add: a < 2^27 and b < 2^26, so both
+   products and the sum are integers below 2^53 (times a power of two)
+   and no step rounds, fused or not. */
+static f64 mt_res53(u32 *mt)
+{
+    u32 a = mt_u32(mt) >> 5, b = mt_u32(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.Random._randbelow(n): getrandbits(n.bit_length()) until the
+   draw lands below n.  bits is in [1, 32] (the pool table rejects
+   longer pools), so the shift stays inside the word. */
+static i64 mt_below(u32 *mt, i64 n, i64 bits)
+{
+    i64 r;
+    do r = (i64)(mt_u32(mt) >> (32 - bits)); while (r >= n);
+    return r;
+}
+
+/* The cycles to the column's next miss: one Bernoulli draw per cycle,
+   as MissGenerator._advance_schedule makes them, up to the first
+   success (gap = failures + 1).  A run of `chunk` failures returns
+   with *more set: no miss when that countdown expires, keep drawing —
+   so a vanishing miss rate cannot hold one cycle for ever. */
+static i64 draw_gap(u32 *mt, f64 rate, i64 chunk, u8 *more)
+{
+    for (i64 gap = 1; gap <= chunk; gap++)
+        if (mt_res53(mt) < rate) { *more = 0; return gap; }
+    *more = 1;
+    return chunk;
+}
+
+/* Seed every column from its row of the key table (zero-padded to the
+   widest key; random.seed uses the words up to the last non-zero one,
+   or one zero word) and draw its first gap. */
+void seed_streams(void **A, const i64 *pr)
+{
+    i64 *cd     = (i64 *)A[A_CD];
+    u8  *more   = (u8  *)A[A_MORE];
+    u32 *mtv    = (u32 *)A[A_MT];
+    u32 *keys   = (u32 *)A[A_MTKEY];
+    f64 *drawp  = (f64 *)A[A_DRAWP];
+    for (i64 f = 0; f < pr[P_NPM]; f++) {
+        u32 *mt = mtv + f * MT_STATE;
+        const u32 *key = keys + f * pr[P_KEYW];
+        u32 klen = (u32)pr[P_KEYW];
+        while (klen > 1 && key[klen - 1] == 0) klen--;
+        mt_seed(mt, key, klen);
+        cd[f] = draw_gap(mt, drawp[0], pr[P_CHUNK], more + f);
+    }
+}
 
 /* Index of the lowest set bit of a non-zero 5-bit mask. */
 static const u8 LOWBIT[32] = {0, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0,
@@ -320,11 +440,12 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     u8  *pend   = (u8  *)A[A_PEND];
     u8  *pendrd = (u8  *)A[A_PENDRD];
     i64 *pendtg = (i64 *)A[A_PENDTGT];
-    i64 *cursor = (i64 *)A[A_CURSOR];
-    i64 *gapf   = (i64 *)A[A_GAP];
-    u8  *readf  = (u8  *)A[A_READ];
-    i64 *tgtf   = (i64 *)A[A_TGT];
     i64 *cd     = (i64 *)A[A_CD];
+    u8  *more   = (u8  *)A[A_MORE];
+    u32 *mtv    = (u32 *)A[A_MT];
+    i64 *pool   = (i64 *)A[A_POOL];
+    i64 *poolrow= (i64 *)A[A_POOLROW];
+    f64 *drawp  = (f64 *)A[A_DRAWP];
     i64 *pdest  = (i64 *)A[A_PDEST];
     i64 *psrcp  = (i64 *)A[A_PSRC];
     i64 *psize  = (i64 *)A[A_PSIZE];
@@ -368,7 +489,6 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     i64 *comp   = (i64 *)A[A_COMP];
     i64 *prop   = (i64 *)A[A_CYCPROP];
     i64 *comm   = (i64 *)A[A_CYCCOMM];
-    i64 *refill = (i64 *)A[A_REFILL];
     i64 *ks     = (i64 *)A[A_KSTATE];
 
     const i64 kind   = pr[P_KIND];
@@ -388,13 +508,13 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     const i64 thresh = pr[P_THRESH];
     const i64 stgcap = pr[P_STGCAP];
     const i64 stgmask= pr[P_STGMASK];
-    const i64 MB     = pr[P_MB];
-    const i64 mshift = pr[P_MSHIFT];
     const i64 mqmask = pr[P_MQMASK];
+    const i64 chunk  = pr[P_CHUNK];
+    const f64 rate   = drawp[0];
+    const f64 rfrac  = drawp[1];
 
     i64 cycle = ks[K_CYCLE];
     const i64 end = cycle + max_cycles;
-    i64 nref = 0;
 
     while (cycle < end) {
         if (ks[K_NPKT] + 2 * NPM + 4 > ks[K_PKTCAP]) {
@@ -575,11 +695,11 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             }
         }
 
-        /* ---- watchdog ---- */
+        /* ---- watchdog (Engine raises after its clock has ticked) ---- */
         for (i64 r = 0; r < R; r++) {
             if (prop[r] > 0 && comm[r] == 0) {
                 if (++stall[r] >= thresh) {
-                    ks[K_CYCLE] = cycle;
+                    ks[K_CYCLE] = cycle + 1;
                     ks[K_ARG] = r;
                     return 3;
                 }
@@ -647,7 +767,11 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             llast[r] = lat;
             lcomp[r]++;
         }
-        /* generate (M-MRP; a parked pm's draws stay frozen) */
+        /* generate (M-MRP).  A column's countdown expiring is its
+           Bernoulli success: the read coin and the target follow it in
+           the stream, then the draws of the next gap.  A parked pm's
+           countdown is frozen, so its stream resumes the cycle after
+           the miss issues, as the object model's does. */
         for (i64 f = 0; f < NPM; f++) {
             u8 rd;
             i64 tg;
@@ -659,19 +783,17 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                 tg = pendtg[f];
             } else {
                 if (--cd[f] != 0) continue;
-                i64 cur = cursor[f];
-                i64 base = f << mshift;
-                rd = readf[base + cur];
-                tg = tgtf[base + cur];
-                cur++;
-                if (cur == MB) {
-                    refill[nref++] = f;
-                    cursor[f] = 0;
-                    cd[f] = (i64)1 << 60; /* overwritten by the refill */
-                } else {
-                    cursor[f] = cur;
-                    cd[f] = gapf[base + cur];
+                u32 *mt = mtv + f * MT_STATE;
+                if (more[f]) {
+                    cd[f] = draw_gap(mt, rate, chunk, more + f);
+                    continue;
                 }
+                rd = mt_res53(mt) < rfrac;
+                /* pool row: offset, length, getrandbits width; width 0
+                   is a selector that draws nothing for a lone target */
+                const i64 *row = poolrow + 3 * pmloc[f];
+                tg = pool[row[0] + (row[2] ? mt_below(mt, row[1], row[2]) : 0)];
+                cd[f] = draw_gap(mt, rate, chunk, more + f);
                 if (outv[f] >= tlim) {
                     pend[f] = 1;
                     pendrd[f] = rd;
@@ -727,11 +849,6 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
         }
 
         cycle++;
-        if (nref > 0) {
-            ks[K_CYCLE] = cycle;
-            ks[K_ARG] = nref;
-            return 1;
-        }
     }
     ks[K_CYCLE] = cycle;
     return 0;
@@ -781,12 +898,11 @@ def _compile() -> ctypes.CDLL | None:
         if proc.returncode != 0:
             return None
         lib = ctypes.CDLL(so)
+        tables = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
+        lib.seed_streams.restype = None
+        lib.seed_streams.argtypes = tables
         lib.step_cycles.restype = ctypes.c_long
-        lib.step_cycles.argtypes = [
-            ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_int64),
-            ctypes.c_int64,
-        ]
+        lib.step_cycles.argtypes = [*tables, ctypes.c_int64]
         return lib
     except (OSError, subprocess.SubprocessError):
         return None

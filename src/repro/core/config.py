@@ -22,9 +22,8 @@ from .packet import PacketType
 
 CACHE_LINE_SIZES: tuple[int, ...] = (16, 32, 64, 128)
 
-#: Engine schedulers accepted by :class:`SimulationParams`.  The first
-#: four are byte-identical to each other; ``columnar`` is only
-#: statistically equivalent (see the class docstring).
+#: Engine schedulers accepted by :class:`SimulationParams`; all five
+#: are byte-identical to each other (see the class docstring).
 SCHEDULERS: tuple[str, ...] = ("compiled", "active", "naive", "batched", "columnar")
 
 #: Traffic patterns accepted by :class:`WorkloadConfig`.  ``"mmrp"`` is
@@ -383,21 +382,16 @@ class SimulationParams:
     datapath, ``"naive"`` scans everything every cycle, and
     ``"batched"`` runs ``replicas`` seeds of the point in lockstep over
     one compiled datapath (see :mod:`repro.core.batched`; requires
-    numpy).  Those four are behavior-identical (same per-replica
-    ``SimulationResult`` for every config — enforced by the kernel
-    equivalence test matrix), so among them the choice is an execution
+    numpy).  ``"columnar"`` is the fifth: it runs ``replicas`` seeds as
+    struct-of-arrays columns stepped by a C kernel that draws each PM's
+    misses from the object model's own MT19937 stream
+    (:mod:`repro.core.columnar`, :mod:`repro.core.ckernel`; requires
+    numpy, and a C compiler for its speed — without one each seed runs
+    under ``compiled``).  It models wormhole switching and plain
+    Bernoulli injection only.  All five are behavior-identical (same
+    per-replica ``SimulationResult`` for every config — enforced by the
+    kernel equivalence test matrices), so the choice is an execution
     detail and deliberately not part of the cached-result identity.
-
-    ``"columnar"`` is the fifth scheduler and the exception: it runs
-    ``replicas`` seeds as struct-of-arrays numpy columns with per-column
-    ``Philox`` RNG streams (:mod:`repro.core.columnar`; requires numpy),
-    trading byte-identity for raw aggregate throughput.  Its results
-    are *statistically equivalent* to ``compiled`` (overlapping
-    batch-means confidence intervals, enforced by
-    :mod:`repro.audit.stat_equiv`), not bit-identical, so columnar
-    results ARE part of the cached identity: they are stored under a
-    ``"fidelity": "statistical"`` tag and never serve a request for a
-    bit-exact scheduler (see :mod:`repro.runtime.serialization`).
 
     ``replicas`` is the lockstep batch width used by the batch entry
     points (:func:`repro.core.simulation.simulate_batch`,

@@ -42,8 +42,9 @@ Three schedulers drive the same propose/resolve/commit machinery here.
 Two more live elsewhere: ``"batched"`` (:mod:`repro.core.batched`)
 subclasses this engine to run N replica networks in lockstep over the
 compiled datapath, with per-replica flit tallies and deadlock
-watchdogs, and ``"columnar"`` (:mod:`repro.core.columnar`) is a
-separate statistical-equivalence tier that does not use this engine:
+watchdogs, and ``"columnar"`` (:mod:`repro.core.columnar`) steps flat
+columns in a C kernel that reproduces this engine's results byte for
+byte without using it:
 
 * ``"naive"`` scans every component every subcycle and runs every
   ``update`` every cycle — the straightforward implementation;

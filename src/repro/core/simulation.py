@@ -175,13 +175,12 @@ def simulate(
             system, workload, params, seeds=(params.seed,), miss_sources=miss_sources
         )[0]
     if params.scheduler == "columnar":
-        # Columnar results are statistically equivalent, not
-        # byte-identical; a solo run is a column batch of one.
+        # A solo run is a column batch of one (same bytes as "compiled").
         if miss_sources is not None:
             raise ConfigurationError(
-                "the columnar scheduler generates misses from its own "
-                "Philox columns; use scheduler='compiled' for "
-                "trace-replay miss sources"
+                "the columnar scheduler draws every miss inside its "
+                "kernel; use scheduler='compiled' for trace-replay miss "
+                "sources"
             )
         from .columnar import simulate_columnar
 
@@ -271,9 +270,9 @@ def simulate_batch(
     if params.scheduler == "columnar":
         if miss_sources is not None:
             raise ConfigurationError(
-                "the columnar scheduler generates misses from its own "
-                "Philox columns; use scheduler='compiled' for "
-                "trace-replay miss sources"
+                "the columnar scheduler draws every miss inside its "
+                "kernel; use scheduler='compiled' for trace-replay miss "
+                "sources"
             )
         from .columnar import simulate_columnar
 

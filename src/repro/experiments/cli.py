@@ -54,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SCHEDULER_CHOICES),
         default=None,
         help="run every sweep point under this engine scheduler instead of "
-        "the default ('columnar' trades byte-exact results for vectorized "
-        "multi-replica throughput — statistically equivalent, cached "
-        "separately; see README's scheduler decision table)",
+        "the default (all five return the same bytes and share one cache; "
+        "'columnar' steps replica batches in a C kernel; see README's "
+        "scheduler decision table)",
     )
     parser.add_argument(
         "--jobs",
@@ -213,9 +213,8 @@ def main(argv: list[str] | None = None) -> int:
     scale = SCALES[args.scale]
     if args.scheduler is not None:
         # Scale (and its SimulationParams) key the memoized sweeps, so
-        # swapping the scheduler here flows into every point spec — and
-        # into the cache identity for "columnar", whose results are
-        # tagged non-canonical rather than shared with bit-exact runs.
+        # swapping the scheduler here flows into every point spec (but
+        # not into the cache identity: all schedulers share one).
         scale = replace(scale, sim=replace(scale.sim, scheduler=args.scheduler))
     if args.profile and args.audit:
         # Both swap in a dedicated engine step function; the audited

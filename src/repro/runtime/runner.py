@@ -245,12 +245,10 @@ def run_replica_batch(
     the entry a solo ``run_point`` of that seed would read or write.
 
     With ``spec.params.scheduler == "columnar"`` the batch runs on the
-    struct-of-arrays columnar engine instead (statistically equivalent
-    results, not byte-identical); its per-seed cache entries carry the
-    ``"fidelity": "statistical"`` payload tag, so they are a *separate*
-    cache population from bit-exact entries of the same point — a
-    columnar batch never serves, and is never served by, a ``compiled``
-    request for the same seed.
+    C kernel tier instead (:mod:`repro.core.columnar`): the same bytes
+    per seed, so it fills — and is served by — the very entries a
+    ``compiled`` request for that seed reads, typically 20-40x faster
+    than computing them one ``run_point`` at a time.
     """
     if seeds is None:
         base = spec.params.seed

@@ -120,30 +120,26 @@ def workload_from_payload(payload: dict[str, Any]) -> WorkloadConfig:
 
 def params_payload(params: SimulationParams) -> dict[str, Any]:
     # ``params.scheduler`` and ``params.replicas`` are deliberately
-    # omitted: the bit-exact schedulers are behavior-identical (enforced
-    # by the kernel equivalence tests) and a lockstep batch is just N
-    # independent seeds, so cache keys and result payloads must not
-    # depend on which scheduler — or how wide a batch — computed a
-    # point.  The one exception is ``"columnar"``: its results are only
-    # *statistically* equivalent, so they carry an explicit
-    # ``"fidelity": "statistical"`` tag.  The tag is part of the
-    # canonical payload, which makes columnar cache entries
-    # non-canonical by construction — they can never be returned for a
-    # request keyed on a bit-exact scheduler (whose payload has no such
-    # key), and vice versa.
-    payload = {
+    # omitted: all five schedulers are behavior-identical (enforced by
+    # the kernel equivalence tests; ``"columnar"`` joined them when its
+    # kernel started drawing ``compiled``'s own miss stream) and a
+    # lockstep batch is just N independent seeds, so cache keys and
+    # result payloads must not depend on which scheduler — or how wide
+    # a batch — computed a point.
+    return {
         "batch_cycles": params.batch_cycles,
         "batches": params.batches,
         "seed": params.seed,
         "deadlock_threshold": params.deadlock_threshold,
         "flow_control": params.flow_control,
     }
-    if params.scheduler == "columnar":
-        payload["fidelity"] = "statistical"
-    return payload
 
 
 def params_from_payload(payload: dict[str, Any]) -> SimulationParams:
+    # ``"fidelity": "statistical"`` is what columnar payloads carried
+    # while the tier was only statistically equivalent.  Nothing writes
+    # it any more, but frozen inputs do (the benchmark's ``columnar_mid``
+    # points), so it still reads as "run this on the kernel tier".
     payload = dict(payload)
     fidelity = payload.pop("fidelity", None)
     if fidelity == "statistical":

@@ -1,12 +1,13 @@
-"""Statistical-equivalence gate and sampled materialization audit.
+"""Paired-campaign gate and sampled materialization audit.
 
-The columnar scheduler's correctness story has two legs (see
-``repro/audit/stat_equiv.py``): paired columnar-vs-baseline campaigns
-gated on overlapping cross-seed confidence intervals, and a sampled
-audit that rebuilds one replica's columns as object-model buffers and
-packets and re-checks the object layer's invariants against them.
-Both legs must be **sensitive** — a corrupted column or a disjoint
-metric must fail loudly — and **quiet** on a healthy engine.
+Two checks ride on running kernel-tier campaigns (see
+``repro/audit/stat_equiv.py``): paired columnar-vs-baseline points
+gated on byte-equal per-seed payloads (the cross-seed confidence
+intervals they imply are still reported), and a sampled audit that
+rebuilds one replica's columns as object-model buffers and packets and
+re-checks the object layer's invariants against them.  Both must be
+**sensitive** — a corrupted column or a differing payload must fail
+loudly — and **quiet** on a healthy engine.
 """
 
 import math
@@ -26,6 +27,7 @@ from repro.audit.stat_equiv import (
     paper_points,
     run_campaign,
 )
+from repro.core import ckernel
 from repro.core.buffers import FlitBuffer
 from repro.core.columnar import ColumnarEngine, simulate_columnar
 from repro.core.config import (
@@ -94,6 +96,31 @@ class TestPairedCampaign:
         lo, hi = FLIT_RATIO_BAND
         assert lo <= report.flit_ratio <= hi
         assert "PASS" in report.describe()
+        # the exact check, and what it implies
+        assert report.mismatched == ()
+        assert report.flit_ratio == 1.0
+        assert all(col == base for col, base in report.intervals.values())
+        assert "4/4 seeds byte-identical" in report.describe()
+
+    def test_a_differing_payload_fails_the_point(self, monkeypatch):
+        """Sensitivity of the exact check: nudge one columnar replica by
+        a single flit — far inside every statistical gate."""
+        from dataclasses import replace
+
+        from repro.core import columnar
+
+        real = columnar.simulate_columnar
+
+        def nudged(*args, **kwargs):
+            results = real(*args, **kwargs)
+            results[1] = replace(results[1], flits_moved=results[1].flits_moved + 1)
+            return results
+
+        monkeypatch.setattr(columnar, "simulate_columnar", nudged)
+        report = paired_point("ring-2level", RING, WORKLOAD, PARAMS, seeds=(3, 4, 5))
+        assert not report.passed
+        assert report.mismatched == (4,)
+        assert "seeds [4] differ" in report.describe()
 
     def test_batched_baseline_is_accepted(self):
         report = paired_point(
@@ -138,6 +165,7 @@ class TestPairedCampaign:
         assert logged  # progress was reported
 
 
+@pytest.mark.skipif(not ckernel.available(), reason="no C kernel: no columns to audit")
 class TestMaterialization:
     @pytest.mark.parametrize("system", [RING, MESH], ids=["ring", "mesh"])
     def test_audit_replica_clean_on_live_engine(self, system):

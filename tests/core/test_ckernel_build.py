@@ -1,12 +1,12 @@
 """The columnar C kernel must build, build clean, and run under sanitizers.
 
 ``ckernel._compile()`` never raises and keeps the compiler's stderr to
-itself, and every kernel-identity test skips when the kernel is
-unavailable — so a ``_SOURCE`` that stopped compiling would turn the
-whole suite green on the numpy path.  Where a C compiler exists these
-tests make that a failure instead, hold the source to
-``-Wall -Wextra -Werror``, and run it under AddressSanitizer and
-UndefinedBehaviorSanitizer with every kernel column a separate heap
+itself, and without a kernel the columnar tier quietly runs every seed
+under ``compiled`` — so a ``_SOURCE`` that stopped compiling would turn
+the whole suite green without the kernel running once.  Where a C
+compiler exists these tests make that a failure instead, hold the
+source to ``-Wall -Wextra -Werror``, and run it under AddressSanitizer
+and UndefinedBehaviorSanitizer with every kernel column a separate heap
 allocation, so an index one past a column's end is a report rather
 than a silent write into its neighbour.
 """
@@ -57,7 +57,7 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 #: the kernel instrumented, then drive it through both fabrics, both
 #: flow controls, a double-speed ring (second subcycle), one-flit mesh
 #: buffers and 36-flit worms (long revocation chains and lock tenures),
-#: packet-table growth and Philox refills.
+#: packet-table growth and a draw-chunk continuation.
 _DRIVER = """
 from repro.core import ckernel
 
@@ -71,17 +71,7 @@ from repro.core.config import (
     SimulationParams,
     WorkloadConfig,
 )
-
-refills = []
-draw = ColumnarEngine._refill
-
-
-def counting(engine, columns):
-    refills.append(len(columns))
-    draw(engine, columns)
-
-
-ColumnarEngine._refill = counting
+from repro.core.processor import LOOKAHEAD_CHUNK
 
 
 def drive(system, miss_rate, cycles, seeds):
@@ -109,9 +99,20 @@ for system in (
     grown |= drive(system, 0.05, 400, range(1, 9))
 assert grown, "no batch outgrew the initial packet table"
 
-before = len(refills)
-drive(RingSystemConfig(topology="2:4", cache_line_bytes=32), 0.5, 1000, (1, 2))
-assert len(refills) > before + 2, "no column drew a second miss block"
+# A vanishing miss rate: first gaps that outrun the draw chunk, so those
+# countdowns end a run of failures and the column must draw again.
+engine = ColumnarEngine(
+    RingSystemConfig(topology="2:4", cache_line_bytes=32),
+    WorkloadConfig(miss_rate=0.0002),
+    SimulationParams(scheduler="columnar"),
+    (1, 2),
+)
+continued = engine._draw_more.astype(bool)
+assert continued.any(), "no first gap outran the draw chunk"
+states = engine._mt.reshape(-1, 625)
+before = states[continued].copy()
+engine.run(LOOKAHEAD_CHUNK)
+assert (states[continued] != before).any(axis=1).all(), "a continuation did not draw"
 print("sanitized kernel ok")
 """
 

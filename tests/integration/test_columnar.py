@@ -1,35 +1,38 @@
-"""Columnar scheduler integration: determinism, kernel identity, caching.
+"""Kernel tier integration: ``compiled`` is the oracle, byte for byte.
 
-The columnar engine (``SimulationParams.scheduler="columnar"``) drops
-the byte-identity contract the other four schedulers share: it keeps
-all replicas of a point as flat numpy columns and resolves contention
-with masked array ops, so its results are only *statistically*
-equivalent to the object engines (enforced by repro.audit.stat_equiv).
-What this module pins down instead:
+The columnar scheduler (``SimulationParams.scheduler="columnar"``)
+keeps all replicas of a point as flat columns and steps them in a C
+kernel (repro.core.ckernel) that draws each PM's miss stream from the
+same MT19937 words, in the same order, as the object model's
+``random.Random``.  What this module pins down:
 
-* the columnar path is still **self-deterministic** — same seeds, same
-  bytes, run after run, and each seed's result is independent of which
-  other seeds share the batch;
-* the optional C kernel (repro.core.ckernel) is bit-identical to the
-  numpy columnar path it replaces (``REPRO_COLUMNAR_KERNEL=0``), and
-  with it a batch clears the aggregate-throughput floor over solo
-  ``compiled`` that the tier exists for;
-* configuration guards reject what the engine cannot model (slotted
-  ring switching, externally supplied miss sources);
-* cache identity: columnar payloads carry ``"fidelity":
-  "statistical"`` so they can never be served for a bit-exact request,
-  while the four bit-exact schedulers still share one identity.
+* every replica of a batch serializes to the bytes of a solo
+  ``compiled`` run of its seed — over fabrics, loads, flow controls,
+  workload knobs, traffic patterns, degenerate target pools, draw-chunk
+  continuations and multi-word seeds — both against ``compiled``
+  directly and against the tier's own no-kernel route
+  (``REPRO_COLUMNAR_KERNEL=0``, which *is* ``compiled``);
+* each column is seeded the way ``random.Random(n)`` seeds itself;
+* a wedged replica raises ``compiled``'s ``DeadlockError`` numbers;
+* a batch clears the aggregate-throughput floor the tier exists for;
+* configuration guards reject what the tier does not model (slotted
+  ring switching, bursty injection, externally supplied miss sources)
+  on either route;
+* cache identity: all five schedulers share one, and a legacy
+  ``"fidelity": "statistical"`` payload still selects the tier.
 """
 
 import math
+import random
 import time
 from dataclasses import replace
 
 import pytest
 
-from repro.core import ckernel
+from repro.core import ckernel, columnar
 from repro.core.columnar import ColumnarEngine, simulate_columnar
 from repro.core.config import (
+    TRAFFIC_PATTERNS,
     MeshSystemConfig,
     RingSystemConfig,
     SimulationParams,
@@ -37,6 +40,8 @@ from repro.core.config import (
 )
 from repro.core.errors import ConfigurationError, DeadlockError
 from repro.core.simulation import simulate, simulate_batch
+from repro.runtime import PointSpec, ResultCache, run_point, runner
+from repro.runtime.runner import run_replica_batch
 from repro.runtime.serialization import (
     canonical_json,
     params_from_payload,
@@ -49,15 +54,15 @@ WORKLOAD = WorkloadConfig(locality=0.9, miss_rate=0.04, outstanding=4)
 
 RING = RingSystemConfig(topology="2:4", cache_line_bytes=32)
 MESH = MeshSystemConfig(side=3, cache_line_bytes=32, buffer_flits=4)
+FAST_RING = RingSystemConfig(topology="2:2:4", cache_line_bytes=32, global_ring_speed=2)
 
 SYSTEMS = [
     pytest.param(RING, id="ring-2level"),
-    pytest.param(
-        RingSystemConfig(topology="2:2:4", cache_line_bytes=32, global_ring_speed=2),
-        id="ring-3level-fast-global",
-    ),
+    pytest.param(FAST_RING, id="ring-3level-fast-global"),
     pytest.param(MESH, id="mesh-buf4"),
 ]
+
+needs_kernel = pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
 
 
 def payloads(results):
@@ -65,11 +70,26 @@ def payloads(results):
 
 
 def on_both_paths(system, workload, params, monkeypatch):
-    """Seeds 7 and 8 with the C kernel, then on the numpy fallback."""
+    """Seeds 7 and 8 on the C kernel, then with the kernel switched off
+    (each seed alone under ``compiled``)."""
     kernel = simulate_columnar(system, workload, params, seeds=(7, 8))
     monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
-    numpy_only = simulate_columnar(system, workload, params, seeds=(7, 8))
-    return kernel, numpy_only
+    fallback = simulate_columnar(system, workload, params, seeds=(7, 8))
+    return kernel, fallback
+
+
+def compiled_payloads(system, workload, params, seeds):
+    """The oracle, spelled out: one solo ``compiled`` run per seed."""
+    solo = replace(params, scheduler="compiled", replicas=1)
+    return payloads(
+        simulate(system, workload, replace(solo, seed=seed)) for seed in seeds
+    )
+
+
+def assert_batch_is_compiled(system, workload, params, seeds=(7, 8)):
+    batch = simulate_columnar(system, workload, params, seeds=seeds)
+    assert payloads(batch) == compiled_payloads(system, workload, params, seeds)
+    return batch
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -82,20 +102,22 @@ def test_columnar_is_self_deterministic(system):
 
 @pytest.mark.parametrize("system", [SYSTEMS[0], SYSTEMS[2]])
 def test_seed_results_independent_of_batch_composition(system):
-    """Philox streams are keyed per replica *seed*, not per column
-    index: seed 8's result must not change when its neighbours do."""
+    """Streams are keyed per replica *seed*, not per column index:
+    seed 8's result must not change when its neighbours do."""
     trio = simulate_columnar(system, WORKLOAD, PARAMS, seeds=(7, 8, 9))
     solo = simulate_columnar(system, WORKLOAD, PARAMS, seeds=(8,))
     assert payloads([trio[1]]) == payloads(solo)
 
 
-@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+@needs_kernel
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_c_kernel_matches_numpy_path(system, monkeypatch):
-    """The compiled kernel is an execution detail: forcing the numpy
-    fallback (REPRO_COLUMNAR_KERNEL=0) must reproduce the same bytes."""
-    kernel, numpy_only = on_both_paths(system, WORKLOAD, PARAMS, monkeypatch)
-    assert payloads(kernel) == payloads(numpy_only)
+    """The kernel is an execution detail: switching it off
+    (REPRO_COLUMNAR_KERNEL=0 runs ``compiled``; the numpy stepping path
+    the id remembers is gone) must reproduce the same bytes."""
+    kernel, fallback = on_both_paths(system, WORKLOAD, PARAMS, monkeypatch)
+    assert payloads(kernel) == payloads(fallback)
+    assert [r.params.scheduler for r in fallback] == ["columnar", "columnar"]
 
 
 #: What the kernel's worklist resolver, per-router request pass and
@@ -120,73 +142,197 @@ KERNEL_SYSTEMS = [
 ]
 
 
-@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+@needs_kernel
 @pytest.mark.parametrize("flow_control", ["bypass", "conservative"])
 @pytest.mark.parametrize("miss_rate", [0.002, 0.04, 0.2])
 @pytest.mark.parametrize("system", KERNEL_SYSTEMS)
 def test_c_kernel_matches_numpy_path_matrix(
     system, miss_rate, flow_control, monkeypatch
 ):
-    """Kernel identity from a nearly idle network (quiet jumps) to every
-    buffer full (the whole ring rotates: every row is seeded for
+    """Kernel == ``compiled`` from a nearly idle network (quiet jumps) to
+    every buffer full (the whole ring rotates: every row is seeded for
     revocation and none may be revoked), under both flow controls."""
     workload = replace(WORKLOAD, miss_rate=miss_rate)
     params = replace(PARAMS, batch_cycles=200, flow_control=flow_control)
-    kernel, numpy_only = on_both_paths(system, workload, params, monkeypatch)
-    assert payloads(kernel) == payloads(numpy_only)
+    kernel, fallback = on_both_paths(system, workload, params, monkeypatch)
+    assert payloads(kernel) == payloads(fallback)
 
 
-@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+@needs_kernel
 def test_c_kernel_matches_numpy_path_through_hand_backs(monkeypatch):
-    """Long enough that the kernel hands control back for both of its
-    Python-side services: a grown packet table and fresh miss blocks."""
-    refills = []
-    draw = ColumnarEngine._refill
-
-    def counting(engine, columns):
-        refills.append(len(columns))
-        draw(engine, columns)
-
-    monkeypatch.setattr(ColumnarEngine, "_refill", counting)
+    """Long enough that the kernel hands control back to Python for the
+    one service it still needs: a grown packet table."""
     workload = replace(WORKLOAD, miss_rate=0.5)
     params = replace(PARAMS, batch_cycles=1000)
-    kernel, numpy_only = on_both_paths(RING, workload, params, monkeypatch)
-    assert payloads(kernel) == payloads(numpy_only)
-    # more packets than the initial table holds; more block draws than
-    # the one per path that fills every column at build
+    kernel, fallback = on_both_paths(RING, workload, params, monkeypatch)
+    assert payloads(kernel) == payloads(fallback)
+    # more packets than the initial table holds
     assert 2 * sum(r.remote_transactions for r in kernel) > 4096
-    assert len(refills) > 2
 
 
-@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+@needs_kernel
 @pytest.mark.parametrize("flow_control", ["bypass", "conservative"])
-@pytest.mark.parametrize("system", [SYSTEMS[0], SYSTEMS[2]])
-def test_c_kernel_watchdog_matches_numpy_path(system, flow_control, monkeypatch):
-    """Wedge one replica mid-run (its bounded buffers stop accepting, so
-    every row it proposes is revoked): both paths must name the same
-    replica at the same cycle, and leave its neighbours running."""
-    params = replace(PARAMS, flow_control=flow_control, deadlock_threshold=7)
+@pytest.mark.parametrize("topology", ["8", "2:8", "3:8"])
+def test_c_kernel_watchdog_matches_numpy_path(topology, flow_control, monkeypatch):
+    """Injection-first arbitration deadlocks these rings at the paper's
+    load (DESIGN.md §5 'Ablations').  The kernel must raise ``compiled``'s
+    two numbers; a batch stops at the replica that wedges first in
+    simulated time, and the no-kernel route reports the same one."""
+    system = RingSystemConfig(topology=topology, transit_priority=False)
+    workload = WorkloadConfig(miss_rate=0.04, outstanding=4)
+    params = SimulationParams(
+        batch_cycles=3000,
+        batches=3,
+        deadlock_threshold=2000,
+        flow_control=flow_control,
+        scheduler="columnar",
+    )
 
-    def report():
-        engine = ColumnarEngine(system, WORKLOAD, params, seeds=(7, 8, 9))
-        engine.run(100)
-        per_replica = engine.buffers_per_replica
-        caps = engine._cap[per_replica : 2 * per_replica]
-        caps[~engine._is_sink[per_replica : 2 * per_replica]] = 0
-        with pytest.raises(DeadlockError, match=r"columnar replica 1 \(seed 8\)") as excinfo:
-            engine.run(1000)
-        return str(excinfo.value), engine.cycle
+    def wedge(run, *args, **kwargs):
+        with pytest.raises(DeadlockError) as excinfo:
+            run(system, workload, *args, **kwargs)
+        return excinfo.value
 
-    kernel = report()
+    solo = [
+        wedge(simulate, replace(params, scheduler="compiled", seed=seed))
+        for seed in (1, 2, 3)
+    ]
+    first = min(range(3), key=lambda replica: solo[replica].cycle)
+    if flow_control == "bypass":
+        assert solo[0].cycle == {"8": 3134, "2:8": 2234, "3:8": 2235}[topology]
+
+    alone = wedge(simulate_columnar, params, seeds=(1,))
+    assert (alone.cycle, alone.stalled_cycles) == (solo[0].cycle, 2000)
+    batch = wedge(simulate_columnar, params, seeds=(1, 2, 3))
+    assert (batch.cycle, batch.stalled_cycles) == (solo[first].cycle, 2000)
+    assert f"columnar replica {first} (seed {first + 1})" in str(batch)
+
     monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
-    assert report() == kernel
+    assert str(wedge(simulate_columnar, params, seeds=(1, 2, 3))) == str(batch)
 
 
-@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+# ----------------------------------------------------------------------
+# cells the on/off matrix lacks, against solo ``compiled`` runs directly
+# (not skipped without a kernel: the no-kernel route must hold them too)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "locality, outstanding", [(0.3, 1), (0.9, 2)], ids=["R0.3-T1", "R0.9-T2"]
+)
+@pytest.mark.parametrize("system", KERNEL_SYSTEMS)
+def test_kernel_matches_compiled_over_locality_and_outstanding(
+    system, locality, outstanding
+):
+    """Small regions (short ``_randbelow`` widths, many rejections) and a
+    blocking processor (T=1: every second miss parks, freezing its
+    stream until the response returns)."""
+    workload = replace(WORKLOAD, locality=locality, outstanding=outstanding)
+    assert_batch_is_compiled(system, workload, replace(PARAMS, batch_cycles=200))
+
+
+@pytest.mark.parametrize("pattern", [p for p in TRAFFIC_PATTERNS if p != "mmrp"])
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(FAST_RING, id="ring-3level-fast-global"),
+        pytest.param(MeshSystemConfig(side=8, cache_line_bytes=32), id="mesh-8x8"),
+    ],
+)
+def test_kernel_matches_compiled_on_every_pattern(system, pattern):
+    """Pools come off the selector the PMs draw from: weighted (hotspot
+    multiplicity), whole-machine (uniform) and lone-target pools — a
+    permutation's selector returns its target without a draw."""
+    workload = WorkloadConfig(miss_rate=0.04, outstanding=4, pattern=pattern)
+    assert_batch_is_compiled(system, workload, replace(PARAMS, batch_cycles=150))
+
+
+@pytest.mark.parametrize(
+    "system, workload",
+    [
+        pytest.param(
+            MeshSystemConfig(side=4, cache_line_bytes=32),
+            replace(WORKLOAD, locality=0.05),
+            id="mesh-4x4-one-pm-regions",
+        ),
+        pytest.param(
+            RingSystemConfig(topology="1", cache_line_bytes=32), WORKLOAD, id="ring-1"
+        ),
+    ],
+)
+def test_kernel_matches_compiled_on_one_pm_regions(system, workload):
+    """M-MRP's selector calls ``randrange`` even when the region is the
+    PM alone: ``_randbelow(1)`` burns words until a zero bit.  Skipping
+    that draw (as the permutation selector rightly does) shifts every
+    later gap."""
+    batch = assert_batch_is_compiled(system, workload, PARAMS)
+    assert all(r.local_transactions > 0 and r.remote_transactions == 0 for r in batch)
+
+
+def test_kernel_matches_compiled_across_draw_chunks():
+    """Mean gap 5000 > the 4096-draw chunk: most countdowns end a run of
+    failures, not a miss, and drawing must pick up where it stopped."""
+    workload = replace(WORKLOAD, miss_rate=0.0002)
+    params = replace(PARAMS, batch_cycles=3000)
+    batch = assert_batch_is_compiled(RING, workload, params)
+    assert 0 < sum(r.remote_transactions for r in batch) < 40
+
+
+@pytest.mark.parametrize("seed", [0, 123456789])
+def test_kernel_matches_compiled_on_edge_seeds(seed):
+    """Key 0 (one zero word) and a key that needs two 32-bit words."""
+    assert 123456789 * 1_000_003 >= 1 << 32
+    for system in (RING, MESH):
+        assert_batch_is_compiled(system, WORKLOAD, PARAMS, seeds=(seed, seed + 1))
+
+
+@pytest.mark.parametrize("memory_latency", [1, 30])
+@pytest.mark.parametrize("read_fraction", [0.5, 1.0])
+def test_kernel_matches_compiled_over_memory_and_read_mix(
+    memory_latency, read_fraction
+):
+    workload = replace(WORKLOAD, read_fraction=read_fraction)
+    for system in (RING, MESH):
+        system = replace(system, memory_latency=memory_latency)
+        assert_batch_is_compiled(system, workload, replace(PARAMS, batch_cycles=200))
+
+
+def test_kernel_matches_compiled_on_the_bench_replicas():
+    """The benchmark's ``columnar_mid`` inputs (``--seed 1``, variant 0):
+    eight replicas of each system vs eight solo ``compiled`` runs."""
+    workload = WorkloadConfig(miss_rate=0.02, outstanding=4)
+    seeds = tuple(range(1000, 1008))
+    for system, batch_cycles in (
+        (RingSystemConfig(topology="3:3:8", cache_line_bytes=32), 1000),
+        (MeshSystemConfig(side=8, cache_line_bytes=32, buffer_flits=4), 400),
+    ):
+        params = replace(PARAMS, batch_cycles=batch_cycles)
+        assert_batch_is_compiled(system, workload, params, seeds=seeds)
+
+
+@needs_kernel
+def test_columns_are_seeded_like_random_Random(monkeypatch):
+    """``init_by_array`` in C over the key's little-endian words: after
+    build, each column's 624 words + index are those of
+    ``random.Random(n)`` once it, too, has drawn Bernoullis up to its
+    first success — for one-, two- and three-word keys."""
+    keys = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 7 * 1_000_003 + 5, 2**31, 12345]
+    monkeypatch.setattr(columnar, "_stream_keys", lambda seeds, processors: keys)
+    system = RingSystemConfig(topology="8", cache_line_bytes=32)
+    engine = ColumnarEngine(system, WORKLOAD, PARAMS, seeds=(7,))
+    states = engine._mt.reshape(len(keys), 625)
+    for column, key in enumerate(keys):
+        rng = random.Random(key)
+        gap = 1
+        while rng.random() >= WORKLOAD.miss_rate:
+            gap += 1
+        assert tuple(states[column].tolist()) == rng.getstate()[1], key
+        assert engine._countdown[column] == gap
+
+
+@needs_kernel
 def test_columnar_batch_clears_the_throughput_floor():
-    """What the tier trades byte-identity for: at mid load an 8-replica
-    columnar batch must move >= 5x the aggregate cycles x replicas per
-    second of a solo ``compiled`` run.  Best of three
+    """What the tier is for: at mid load an 8-replica columnar batch
+    must move >= 5x the aggregate cycles x replicas per second of a
+    solo ``compiled`` run (and returns its bytes).  Best of three
     interleaved repeats: noise only slows a run down, and the first
     columnar call of a process pays one-time set-up."""
     system = RingSystemConfig(topology="3:8", cache_line_bytes=32)
@@ -219,8 +365,8 @@ def test_empty_seed_list_rejected():
 
 
 def test_miss_sources_rejected():
-    """The engine generates misses from its own per-column Philox
-    streams; injected MissSource objects cannot be honoured."""
+    """The kernel draws every miss itself; injected MissSource objects
+    cannot be honoured."""
     with pytest.raises(ConfigurationError, match="miss"):
         simulate(RING, WORKLOAD, PARAMS, miss_sources=[])
 
@@ -261,19 +407,43 @@ class TestCacheFidelity:
         assert len({canonical_json(p) for p in payloads_.values()}) == 1
         assert "fidelity" not in payloads_["compiled"]
 
-    def test_columnar_identity_is_disjoint(self):
-        """A columnar cache entry can never be served for a bit-exact
-        request (and vice versa): the payloads differ structurally."""
+    def test_columnar_shares_the_canonical_identity(self):
+        """No scheduler writes a ``fidelity`` key: a columnar result is
+        the entry a ``compiled`` request for that seed reads."""
         exact = params_payload(replace(PARAMS, scheduler="compiled"))
-        statistical = params_payload(PARAMS)
-        assert statistical.pop("fidelity") == "statistical"
-        assert statistical == exact  # only the tag separates them
+        assert params_payload(PARAMS) == exact
+        assert "fidelity" not in exact
+        spec = PointSpec(RING, WORKLOAD, PARAMS)
+        assert spec.key() == replace(spec, params=replace(PARAMS, scheduler="compiled")).key()
 
-    def test_columnar_round_trips_through_payload(self):
-        restored = params_from_payload(params_payload(PARAMS))
+    def test_tagged_legacy_payload_still_selects_columnar(self):
+        """Frozen inputs written while the tier was statistical (the
+        benchmark's ``columnar_mid`` points) keep meaning "run this on
+        the kernel tier"."""
+        tagged = {**params_payload(PARAMS), "fidelity": "statistical"}
+        restored = params_from_payload(tagged)
         assert restored.scheduler == "columnar"
         assert restored.batch_cycles == PARAMS.batch_cycles
         assert restored.seed == PARAMS.seed
+        assert params_from_payload(params_payload(PARAMS)).scheduler == "compiled"
+
+    def test_replica_batch_fills_the_entries_compiled_reads(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path))
+        spec = PointSpec(RING, WORKLOAD, replace(PARAMS, replicas=3))
+        batch = run_replica_batch(spec, cache=cache)
+        assert [r.params.seed for r in batch] == [7, 8, 9]
+
+        def no_simulation(spec):
+            raise AssertionError(f"cache miss: {spec}")
+
+        monkeypatch.setattr(runner, "_execute", no_simulation)
+        for result in batch:
+            solo = replace(PARAMS, scheduler="compiled", seed=result.params.seed)
+            hit = run_point(PointSpec(RING, WORKLOAD, solo), cache=cache)
+            assert payloads([hit]) == payloads([result])
+        monkeypatch.undo()
+        # and the other way round: the bytes a solo run computes
+        assert payloads(batch) == compiled_payloads(RING, WORKLOAD, PARAMS, (7, 8, 9))
 
     def test_bit_exact_round_trip_restores_default_scheduler(self):
         restored = params_from_payload(
