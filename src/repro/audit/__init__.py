@@ -16,8 +16,11 @@ when off, ambient enable/disable around a run::
         result = simulate(system, workload, params)
     print(auditor.describe())
 
-The columnar scheduler steps flat columns in a C kernel, out of the
-per-cycle auditor's reach, and returns ``compiled``'s bytes:
+The default ``columnar`` scheduler steps flat columns in a C kernel,
+out of the per-cycle auditor's reach, and returns ``compiled``'s bytes
+— so while an auditor is enabled, ``simulate()`` runs the point under
+``compiled`` (:func:`repro.core.columnar.kernel_can_run`), which is the
+engine the auditor attaches to.  For the kernel itself,
 :mod:`repro.audit.stat_equiv` runs paired columnar-vs-baseline
 campaigns gated on byte-equal per-seed payloads on every paper
 topology, and samples running columnar engines, materializing one

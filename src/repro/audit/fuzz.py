@@ -40,9 +40,11 @@ tier — with the sampled materialization audit
 seed is held to the same contract as the other four: its canonical
 payload, or its ``DeadlockError``, must equal the baseline's byte for
 byte; materialization invariant violations fail the case outright.
-Slotted-switching cases are skipped (the tier models wormhole switching
-only), and so is the whole pass, with a message, when no kernel is
-loaded — the tier then *is* ``compiled``, with no columns to audit.
+A case the kernel cannot run (:func:`repro.core.columnar.kernel_can_run`:
+slotted switching, or no kernel loaded on this host) is skipped — the
+tier then *is* ``compiled``, with no columns to audit — and a campaign
+that ends up comparing no case at all fails: asked to vet the kernel, it
+vetted nothing.
 
 Everything is deterministic in ``--seed``: the case stream, the
 per-case simulation seeds, and the shrink order.
@@ -156,6 +158,8 @@ class CaseResult:
     #: "ok" | "spec" | "divergence" | "violation" | "lifecycle" | "columnar"
     kind: str
     detail: str
+    #: whether the case also ran on, and was compared with, the C kernel
+    kernel_compared: bool = False
 
     @property
     def failed(self) -> bool:
@@ -286,7 +290,7 @@ def _lifecycle_problem(case: FuzzCase) -> str | None:
 
 
 def _columnar_problem(case: FuzzCase, baseline: tuple[str, str]) -> str | None:
-    """Kernel-tier run of *case*; ``None`` when clean or out of scope.
+    """Kernel run of *case* (one the kernel can run); ``None`` when clean.
 
     Runs :data:`COLUMNAR_SEEDS` replicas with the sampled
     materialization audit hooked in every
@@ -294,9 +298,6 @@ def _columnar_problem(case: FuzzCase, baseline: tuple[str, str]) -> str | None:
     the case's seed with *baseline*, the bit-exact schedulers' common
     ``_run_one`` outcome.
     """
-    system = case.system
-    if isinstance(system, RingSystemConfig) and system.switching != "wormhole":
-        return None
     from ..core.columnar import simulate_columnar
     from .stat_equiv import SamplingAuditor
 
@@ -304,13 +305,14 @@ def _columnar_problem(case: FuzzCase, baseline: tuple[str, str]) -> str | None:
 
     def outcome(replicas: int) -> tuple[str, str]:
         seeds = tuple(range(case.params.seed, case.params.seed + replicas))
+        auditor = SamplingAuditor()
         try:
             results = simulate_columnar(
                 case.system,
                 case.workload,
                 params,
                 seeds=seeds,
-                cycle_hook=SamplingAuditor(),
+                cycle_hook=auditor,
                 hook_interval=COLUMNAR_AUDIT_INTERVAL,
             )
         except DeadlockError as exc:
@@ -318,6 +320,12 @@ def _columnar_problem(case: FuzzCase, baseline: tuple[str, str]) -> str | None:
             return ("error", f"DeadlockError: {DeadlockError(exc.cycle, exc.stalled_cycles)}")
         except SimulationError as exc:
             return ("error", f"{type(exc).__name__}: {exc}")
+        if auditor.samples == 0:
+            # every case outlasts the interval, so a finished run that
+            # was never sampled fell back to ``compiled`` on the way
+            raise AuditError(
+                "columnar_materialization", 0, "no cycle sampled: the kernel did not run"
+            )
         return ("ok", canonical_json(result_payload(results[0])))
 
     try:
@@ -369,9 +377,13 @@ def run_case(
         if problem is not None:
             return CaseResult("lifecycle", problem)
     if include_columnar:
-        problem = _columnar_problem(case, baseline)
-        if problem is not None:
-            return CaseResult("columnar", problem)
+        from ..core.columnar import kernel_can_run
+
+        if kernel_can_run(case.system, case.workload):
+            problem = _columnar_problem(case, baseline)
+            return CaseResult(
+                "columnar" if problem else "ok", problem or "", kernel_compared=True
+            )
     return CaseResult("ok", "")
 
 
@@ -514,20 +526,16 @@ def run_fuzz(
     """Run a fuzz campaign; returns the number of failing cases.
 
     Failures are shrunk and written to *out_dir* as reproducer JSON.
+    With *include_columnar*, a campaign in which no case reached the
+    kernel comparison counts as one more failure.
     """
     rng = random.Random(seed)
     failures = 0
-    if include_columnar:
-        from ..core import ckernel
-
-        if not ckernel.available():
-            # nothing to compare (the tier then *is* `compiled`) and no
-            # columns for the materialization audit to look at
-            log("columnar pass skipped: no C kernel loaded")
-            include_columnar = False
+    compared = 0
     for index in range(cases):
         case = random_case(rng)
         result = run_case(case, lifecycle=lifecycle, include_columnar=include_columnar)
+        compared += result.kernel_compared
         if not result.failed:
             log(f"[{index + 1}/{cases}] ok   {case.describe()}")
             continue
@@ -537,6 +545,11 @@ def run_fuzz(
         case, result = shrink(case, log=log, include_columnar=include_columnar)
         path = write_reproducer(out_dir, index, case, result)
         log(f"  minimal reproducer: {path}")
+    if include_columnar:
+        log(f"columnar: {compared} case(s) compared with the C kernel")
+        if not compared:
+            log("  FAIL: nothing ran on the kernel (no C kernel loaded?)")
+            failures += 1
     log(
         f"fuzz: {cases} case(s), {failures} failure(s)"
         + (f", reproducers in {out_dir}" if failures else "")

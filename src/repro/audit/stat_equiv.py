@@ -463,10 +463,12 @@ def audit_replica(engine: "ColumnarEngine", replica: int) -> list[str]:
                 kind = "responses" if is_resp else "requests"
                 problems.append(f"{name}: packet {pid} in {kind}-only queue")
 
-    # Port wormhole state.
+    # Port wormhole state.  The engine's columns are stdlib ``array``
+    # buffers; whole-column reductions read them in place through the
+    # buffer protocol.
     ports = slice(replica * U, (replica + 1) * U)
     if engine.kind == "ring":
-        mid = engine._mid[ports]
+        mid = np.frombuffer(engine._mid, dtype=np.uint8)[ports]
         rem = engine._rem[ports]
         cont = engine._cont_src[ports]
         for u in np.nonzero(mid)[0]:
@@ -481,7 +483,7 @@ def audit_replica(engine: "ColumnarEngine", replica: int) -> list[str]:
                     f"sentinel continuation source"
                 )
     else:
-        lock = engine._lock[ports]
+        lock = np.frombuffer(engine._lock, dtype=np.int64)[ports]
         rem = engine._rem[ports]
         for u in range(U):
             lk = int(lock[u])
@@ -507,9 +509,8 @@ def audit_replica(engine: "ColumnarEngine", replica: int) -> list[str]:
         # routers have their off-mesh output ports pruned, so the
         # replica's claim range is routers*5 wide, not U wide
         v5 = engine._routers_per_replica * 5
-        claims = int(
-            np.count_nonzero(engine._claimed[replica * v5 : (replica + 1) * v5])
-        )
+        claimed = np.frombuffer(engine._claimed, dtype=np.uint8)
+        claims = int(np.count_nonzero(claimed[replica * v5 : (replica + 1) * v5]))
         locks = int(np.count_nonzero(lock >= 0))
         if claims != locks:
             problems.append(
@@ -546,8 +547,9 @@ def audit_replica(engine: "ColumnarEngine", replica: int) -> list[str]:
             )
 
     # Whole-engine flit conservation (independent of the sampled replica).
-    real = ~engine._is_sink[: engine.replicas * B]
-    in_network = int(engine._occ[: engine.replicas * B][real].sum())
+    real = np.frombuffer(engine._is_sink, dtype=np.uint8)[: engine.replicas * B] == 0
+    occ = np.frombuffer(engine._occ, dtype=np.int64)
+    in_network = int(occ[: engine.replicas * B][real].sum())
     if in_network != engine._net_flits:
         problems.append(
             f"net flit counter {engine._net_flits} != "

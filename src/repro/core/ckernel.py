@@ -2,11 +2,11 @@
 
 :mod:`repro.core.columnar` lays every replica of a point out as flat
 int64/uint8/uint32/float64 arrays; this module hands them to a small C
-kernel (compiled once per process with the system ``cc`` and bound
-through :mod:`ctypes`) that runs the propose/resolve/commit/update
-cycle as plain loops over the ports and, from resolve on, over only the
-rows that proposed.  Nothing else steps those columns: the kernel *is*
-the tier's engine.
+kernel (compiled once per host with the system ``cc``, kept as a shared
+object in the user's cache directory and bound through :mod:`ctypes`)
+that runs the propose/resolve/commit/update cycle as plain loops over
+the ports and, from resolve on, over only the rows that proposed.
+Nothing else steps those columns: the kernel *is* the tier's engine.
 
 It is the integer twin of the compiled object engine, and a replica's
 result serializes to the bytes of a solo ``compiled`` run of its seed
@@ -55,22 +55,38 @@ agreement rests on one shared stream and three structural facts:
   writes only its own queues, counters and stream, so the order PMs are
   visited in cannot show in any result.
 
-Gating: compilation is attempted lazily on first use and never raises —
-any failure (no compiler, sandboxed filesystem, unsupported platform)
-marks the kernel unavailable, and :func:`repro.core.columnar.simulate_columnar`
-then runs each seed under ``compiled``: same bytes, no batch speed-up.
-Set ``REPRO_COLUMNAR_KERNEL=0`` to force that route, e.g. to price the
+Loading (:func:`load`, once per process, never raises): the shared
+object lives at ``$XDG_CACHE_HOME/repro/ckernel-<identity>-<content>.so``
+(default ``~/.cache/repro/``).  The identity is a digest of the C
+source, the compiler flags and the platform, so an edited kernel or
+another flag set gets its own entry and a stale one is never loaded;
+the content part is a digest of the file's own bytes, checked before the
+file is mapped (a truncated ELF object does not fail to ``dlopen``, it
+kills the process).  A process that finds the entry maps it — a fraction
+of a millisecond; the first process on a host compiles into a private
+temporary file beside it, binds *that*, and publishes it with
+``os.replace`` — racing builders each publish a whole file, the same
+one.  An entry that fails the check, does not load or lacks the entry
+points is unlinked and rebuilt once.  The directory is created 0700 and
+is only used if it belongs to the caller and nobody else may write to
+it; otherwise, or if it cannot be written, the kernel is built in the
+system temp directory for this process alone, as it always was.  Delete
+the directory (or just its ``ckernel-*.so`` files) to force a rebuild.
+
+Gating: any failure (no compiler, sandboxed filesystem, unsupported
+platform) marks the kernel unavailable, and
+:func:`repro.core.columnar.simulate_columnar` then runs each seed under
+``compiled``: same bytes, no kernel speed.  Set
+``REPRO_COLUMNAR_KERNEL=0`` to force that route, e.g. to price the
 kernel against it or reproduce kernel-off CI lanes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 import threading
 
 __all__ = ["available", "load", "PTR", "KS", "PRM"]
@@ -373,6 +389,38 @@ void seed_streams(void **A, const i64 *pr)
         mt_seed(mt, key, klen);
         cd[f] = draw_gap(mt, drawp[0], pr[P_CHUNK], more + f);
     }
+}
+
+/* ---- column build: one replica's tables tiled across the batch ----
+   dst[r*n + i] = src[i] + r*stride: a column of per-replica ids shifted
+   into replica r's id range (stride 0 is a plain tile, a zero column
+   with stride 1 numbers the replicas).  A negative src[i] means "no
+   such buffer" and becomes `none`, unshifted. */
+void tile_offset(i64 *dst, const i64 *src, i64 n, i64 R, i64 stride,
+                 i64 none)
+{
+    for (i64 r = 0; r < R; r++)
+        for (i64 i = 0; i < n; i++)
+            *dst++ = src[i] < 0 ? none : src[i] + r * stride;
+}
+
+/* The ring ports' flat routing table: row (replica, port), column
+   2*dest + is_resp -> the buffer a flit of that packet moves into.
+   port[] is six words per port: the pm range [lo, hi) behind the
+   downstream port, then the buffer taken inside that range (request,
+   response) and outside it (request, response).  B is the buffer count
+   of one replica. */
+void ring_routes(i64 *tbl, const i64 *port, i64 U, i64 Pn, i64 R, i64 B)
+{
+    for (i64 r = 0; r < R; r++)
+        for (i64 u = 0; u < U; u++) {
+            const i64 *p = port + 6 * u;
+            for (i64 d = 0; d < Pn; d++) {
+                const i64 *to = p[0] <= d && d < p[1] ? p + 2 : p + 4;
+                *tbl++ = to[0] + r * B;
+                *tbl++ = to[1] + r * B;
+            }
+        }
 }
 
 /* Index of the lowest set bit of a non-zero 5-bit mask. */
@@ -856,8 +904,12 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 """
 
 #: Compiler flags of the one build.  The sanitizer test extends this list
-#: in its own subprocess before the first :func:`load`.
+#: in its own subprocess before the first :func:`load`; the cache entry's
+#: name covers them, so an instrumented kernel never shadows the plain one.
 _CFLAGS = ["-O2", "-shared", "-fPIC"]
+
+#: Where there is a ``cc`` to ask for and a shared object to map.
+_SUPPORTED = sys.platform.startswith(("linux", "darwin"))
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
@@ -875,51 +927,170 @@ def _disabled() -> bool:
 
 def _find_cc() -> str | None:
     """The C compiler the kernel is built with, if this platform has one."""
-    if not sys.platform.startswith(("linux", "darwin")):
+    import shutil
+
+    if not _SUPPORTED:
         return None
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
-def _compile() -> ctypes.CDLL | None:
-    cc = _find_cc()
-    if cc is None:
-        return None
-    tmpdir = tempfile.mkdtemp(prefix="repro-ckernel-")
-    try:
-        src = os.path.join(tmpdir, "kernel.c")
-        so = os.path.join(tmpdir, "kernel.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_SOURCE)
-        proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", so, src],
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
+def _cache_prefix() -> str | None:
+    """``<cache directory>/ckernel-<identity>``: what this kernel's entry
+    is called, up to the digest of its bytes.
+
+    ``None`` when there is no directory to trust with code this process
+    will execute: it must be the caller's own and writable by nobody
+    else.  The identity covers everything the build depends on.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, or not a path the XDG spec honours
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):  # no home to expand "~" to
             return None
-        lib = ctypes.CDLL(so)
+    directory = os.path.join(base, "repro")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        status = os.stat(directory)
+    except OSError:
+        return None
+    if status.st_uid != os.getuid() or status.st_mode & 0o022:
+        return None
+    identity = "\0".join([_SOURCE, *_CFLAGS, sys.platform, os.uname().machine])
+    digest = hashlib.sha256(identity.encode("utf-8")).hexdigest()
+    return os.path.join(directory, f"ckernel-{digest}")
+
+
+def _entry_name(prefix: str, path: str) -> str:
+    """The name the file at *path* is cached under: *prefix*, then a
+    digest of its bytes.  ``dlopen`` maps what it is given — handed a
+    truncated ELF file, glibc's dies of SIGBUS rather than fail — so
+    only a file whose bytes still hash to its name is ever mapped."""
+    with open(path, "rb") as handle:
+        content = hashlib.sha256(handle.read()).hexdigest()
+    return f"{prefix}-{content[:16]}.so"
+
+
+def _cached(prefix: str) -> ctypes.CDLL | None:
+    """Bind this kernel's cache entry; unlink whatever else bears its
+    name (truncated, overwritten, not exporting the entry points)."""
+    directory, stem = os.path.split(prefix)
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return None
+    for name in names:
+        if not (name.startswith(stem) and name.endswith(".so")):
+            continue
+        path = os.path.join(directory, name)
+        try:
+            lib = _bind(path) if _entry_name(prefix, path) == path else None
+        except OSError:
+            lib = None
+        if lib is not None:
+            return lib
+        _remove(path)
+    return None
+
+
+def _bind(path: str) -> ctypes.CDLL | None:
+    """``dlopen`` *path* and declare the entry points; ``None`` if it is
+    not this kernel (not a shared object, an entry point missing)."""
+    try:
+        lib = ctypes.CDLL(path)
         tables = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64)]
         lib.seed_streams.restype = None
         lib.seed_streams.argtypes = tables
         lib.step_cycles.restype = ctypes.c_long
         lib.step_cycles.argtypes = [*tables, ctypes.c_int64]
-        return lib
-    except (OSError, subprocess.SubprocessError):
+        # column addresses as plain integers (``array.buffer_info``):
+        # destination, source, then the sizes
+        lib.tile_offset.restype = None
+        lib.tile_offset.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4
+        lib.ring_routes.restype = None
+        lib.ring_routes.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4
+    except (OSError, AttributeError):
         return None
-    finally:
-        # The mapping stays valid after the unlink on ELF platforms.
-        shutil.rmtree(tmpdir, ignore_errors=True)
+    return lib
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _private_file(directory: str | None) -> str | None:
+    """A fresh file only this process knows, in *directory* (``None``:
+    the system temp directory), or ``None`` if it cannot be created."""
+    import tempfile
+
+    try:
+        handle, path = tempfile.mkstemp(prefix="ckernel-", suffix=".tmp", dir=directory)
+    except OSError:
+        return None
+    os.close(handle)
+    return path
+
+
+def _compile(prefix: str | None) -> ctypes.CDLL | None:
+    """Build the kernel and bind it; publish the build under *prefix*.
+
+    The compiler writes a private file in the cache directory, which is
+    bound under that name and then moved into place with ``os.replace``
+    — no reader ever sees part of a file, and builders racing a cold
+    cache publish the same bytes under the same name.  Without a cache
+    directory, or if it cannot be written, the build lives in the
+    system temp directory for as long as it takes to map it.
+    """
+    import subprocess
+
+    cc = _find_cc()
+    if cc is None:
+        return None
+    built = _private_file(os.path.dirname(prefix)) if prefix is not None else None
+    if built is None:
+        prefix, built = None, _private_file(None)
+        if built is None:
+            return None
+    try:
+        proc = subprocess.run(
+            [cc, *_CFLAGS, "-x", "c", "-o", built, "-"],
+            input=_SOURCE.encode("utf-8"),
+            capture_output=True,
+            timeout=120,
+        )
+        lib = _bind(built) if proc.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        lib = None
+    if lib is not None and prefix is not None:
+        try:
+            os.replace(built, _entry_name(prefix, built))
+            return lib
+        except OSError:
+            pass  # not cached (full or read-only directory); still bound
+    # The mapping stays valid after the unlink on ELF platforms.
+    _remove(built)
+    return lib
 
 
 def load() -> ctypes.CDLL | None:
-    """Compile (once per process) and return the kernel, or ``None``."""
+    """The kernel, bound once per process, or ``None``.
+
+    Taken from the cache directory when it holds this kernel, compiled
+    (and cached for the next process) otherwise.
+    """
     global _lib, _tried
-    if _disabled():
+    if _disabled() or not _SUPPORTED:
         return None
     with _lock:
         if not _tried:
             _tried = True
-            _lib = _compile()
+            prefix = _cache_prefix()
+            if prefix is not None:
+                _lib = _cached(prefix)
+            if _lib is None:
+                _lib = _compile(prefix)
         return _lib
 
 

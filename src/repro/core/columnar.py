@@ -1,9 +1,10 @@
 """Kernel tier: every replica of one point as flat columns, stepped in C.
 
-The ``"columnar"`` scheduler is the fifth *bit-exact* scheduler.  All
-replica state lives in struct-of-arrays numpy buffers flattened across
-replicas, and :mod:`repro.core.ckernel` — a C kernel compiled once per
-process — runs the cycle loop over them:
+The ``"columnar"`` scheduler is what ``SimulationParams()`` selects, and
+the fifth *bit-exact* scheduler.  All replica state lives in
+struct-of-arrays columns (stdlib :mod:`array` buffers — nothing here
+imports numpy) flattened across replicas, and :mod:`repro.core.ckernel`
+— a C kernel compiled once per host — runs the cycle loop over them:
 
 * every flit buffer is a circular column of packet ids
   (``_slots``/``_head``/``_occ``) — a flit is just its packet id, since
@@ -24,17 +25,23 @@ process — runs the cycle loop over them:
 A replica's result therefore serializes to the same bytes as a solo
 ``compiled`` run of its seed — ``tests/integration/test_columnar.py``
 holds the kernel to that over fabrics, loads, flow controls, patterns
-and seeds — so columnar results are ordinary canonical cache entries,
-and a host without a C compiler (or with ``REPRO_COLUMNAR_KERNEL=0``)
-loses speed, not behaviour: :func:`simulate_columnar` then runs each
-seed under ``compiled``.  This module builds the columns, hands them to
-the kernel and turns its tallies into :class:`SimulationResult` s; the
-audit tier (:mod:`repro.audit.stat_equiv`) can materialize a replica's
-columns back into object form at sampled cycles.
+and seeds — so columnar results are ordinary canonical cache entries.
+This module builds the columns (one replica's tables in Python, tiled
+across the batch by the kernel's ``tile_offset`` / ``ring_routes``),
+hands them to the kernel and turns its tallies into
+:class:`SimulationResult` s; the audit tier
+(:mod:`repro.audit.stat_equiv`) can materialize a replica's columns back
+into object form at sampled cycles.
 
-What the tier does not model, it rejects on either route: slotted ring
-switching, bursty (Markov-modulated) injection, and caller-supplied
-miss sources.
+**The one fallback rule** (:func:`kernel_can_run`): whatever the kernel
+cannot run, :func:`simulate_columnar` runs seed by seed under
+``compiled`` — same bytes, the closure engine's speed.  That is a host
+without a loadable kernel (no C compiler, or ``REPRO_COLUMNAR_KERNEL=0``),
+slotted ring switching, bursty (Markov-modulated) injection,
+caller-supplied miss sources, and any run inside an active
+:mod:`~repro.core.profiling` or :mod:`repro.audit` context, both of
+which attach to :class:`~repro.core.engine.Engine`.  Nothing is
+rejected: a default must run everything ``compiled`` runs.
 
 The ``last`` latency diagnostic is recorded in ascending port order,
 which matches the object model's PM-order recording except when a
@@ -45,13 +52,12 @@ subcycles of the same cycle; it is not part of any result.
 from __future__ import annotations
 
 import ctypes
+import math
+from array import array
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-from numpy.typing import NDArray
-
-from . import ckernel
+from . import ckernel, profiling
 from .ckernel import KS, PRM, PTR, STATUS_DEADLOCK, STATUS_PKT_GROW
 from .config import (
     DEFAULT_SIM,
@@ -65,16 +71,15 @@ from .processor import LOOKAHEAD_CHUNK, MissGenerator
 from .statistics import RateMeter
 
 if TYPE_CHECKING:
+    from .processor import MissSource
     from .simulation import SimulationResult, SystemConfig
-
-I64 = NDArray[np.int64]
-F64 = NDArray[np.float64]
-B1 = NDArray[np.bool_]
 
 #: Effectively-unbounded capacity for ejection sinks and the sentinel.
 _SINK_CAP = 1 << 30
 #: Words of one MT19937 column: the 624-word state and its read index.
 _MT_STATE = 625
+#: Initial rows of the (growable) packet table.
+_PKT_ROWS = 4096
 
 
 def _pow2(n: int) -> int:
@@ -84,20 +89,49 @@ def _pow2(n: int) -> int:
     return p
 
 
-def _reject_unmodelled(system: "SystemConfig", workload: WorkloadConfig) -> None:
-    """What the tier cannot run, refused the same with or without a kernel."""
-    if isinstance(system, RingSystemConfig) and system.switching == "slotted":
-        raise ConfigurationError(
-            "the columnar scheduler does not support slotted switching; "
-            "use scheduler='compiled'"
-        )
-    if workload.bursty:
-        # The kernel draws MissGenerator's stream only: one Bernoulli
-        # per cycle, no Markov on/off chain in front of it.
-        raise ConfigurationError(
-            "the columnar scheduler does not support bursty "
-            "(burst_on/burst_off) injection; use scheduler='compiled'"
-        )
+def _ints(n: int, fill: int = 0, code: str = "q") -> "array[int]":
+    """An *n*-entry integer column: int64, or uint8 ``"B"`` / uint32 ``"I"``."""
+    return array(code, [fill]) * n
+
+
+def _floats(n: int, fill: float = 0.0) -> "array[float]":
+    return array("d", [fill]) * n
+
+
+def _addr(column: "array[int] | array[float]") -> int:
+    return column.buffer_info()[0]
+
+
+def _kernel_models(system: "SystemConfig", workload: WorkloadConfig) -> bool:
+    """Whether the point is one the kernel's datapath implements:
+    wormhole switching, one Bernoulli miss draw per cycle."""
+    slotted = isinstance(system, RingSystemConfig) and system.switching == "slotted"
+    return not slotted and not workload.bursty
+
+
+def kernel_can_run(
+    system: "SystemConfig",
+    workload: WorkloadConfig,
+    miss_sources: "Sequence[MissSource] | None" = None,
+) -> bool:
+    """Whether the C kernel runs this point, here, now — the tier's one rule.
+
+    The kernel models wormhole switching and draws ``MissGenerator``'s
+    stream itself (one Bernoulli per cycle: no Markov on/off chain in
+    front of it, no caller-supplied sources), and nothing can watch it
+    step, so a run under a profiler or the invariant auditor belongs to
+    the engine they attach to.  Everything this refuses runs under
+    ``compiled`` instead, with the same bytes.
+    """
+    from ..audit import runtime as audit_runtime  # leaf-level, as in Engine
+
+    return (
+        _kernel_models(system, workload)
+        and miss_sources is None
+        and profiling.current() is None
+        and audit_runtime.current() is None
+        and ckernel.load() is not None
+    )
 
 
 def _stream_keys(seeds: Sequence[int], processors: int) -> list[int]:
@@ -119,15 +153,15 @@ class ColumnarEngine:
         params: SimulationParams,
         seeds: Sequence[int],
     ):
-        _reject_unmodelled(system, workload)
         if not seeds:
             raise ConfigurationError("ColumnarEngine needs at least one seed")
         kernel = ckernel.load()
-        if kernel is None:
+        if kernel is None or not _kernel_models(system, workload):
             raise ConfigurationError(
-                "ColumnarEngine needs the compiled kernel (no C compiler, "
-                "or REPRO_COLUMNAR_KERNEL=0); simulate_columnar runs the "
-                "same seeds under scheduler='compiled' instead"
+                "ColumnarEngine needs the compiled kernel and a point it "
+                "models (wormhole switching, no bursty injection); "
+                "simulate_columnar runs anything else under "
+                "scheduler='compiled' instead"
             )
         self._kernel = kernel
         self.system = system
@@ -216,15 +250,11 @@ class ColumnarEngine:
 
         #: Per-replica buffer names, for diagnostics and materialization.
         self.buffer_names = names
-        self._t_caps = np.asarray(caps, dtype=np.int64)
-        self._t_sink_pm = np.asarray(sink_pm, dtype=np.int64)
+        self._t_caps = caps
+        self._t_sink_pm = sink_pm
         self.buffers_per_replica = len(names)
-        self._t_out_resp = np.asarray(
-            [index[id(pm.out_resp)] for pm in network.pms], dtype=np.int64
-        )
-        self._t_out_req = np.asarray(
-            [index[id(pm.out_req)] for pm in network.pms], dtype=np.int64
-        )
+        self._t_out_resp = [index[id(pm.out_resp)] for pm in network.pms]
+        self._t_out_req = [index[id(pm.out_req)] for pm in network.pms]
         # The kernel draws targets from the selector the PMs were built
         # with: same pools in the same order, by construction (a
         # target's multiplicity is its weight, so hotspot is exact).
@@ -245,17 +275,18 @@ class ColumnarEngine:
             pools, lone_bits = selector.pools, 0
         flat: list[int] = []
         offsets: dict[tuple[int, ...], int] = {}
-        rows: list[tuple[int, int, int]] = []
+        rows: list[int] = []
         for pool in pools:
             offset = offsets.setdefault(tuple(pool), len(flat))
             if offset == len(flat):
                 flat.extend(pool)
             n = len(pool)
-            rows.append((offset, n, lone_bits if n == 1 else n.bit_length()))
-        if max(row[2] for row in rows) > 32:
-            raise ConfigurationError("target pools are limited to 2**32 - 1 entries")
-        self._pool = np.asarray(flat, dtype=np.int64)
-        self._pool_row = np.asarray(rows, dtype=np.int64)
+            bits = lone_bits if n == 1 else n.bit_length()
+            if bits > 32:
+                raise ConfigurationError("target pools are limited to 2**32 - 1 entries")
+            rows += (offset, n, bits)
+        self._pool = array("q", flat)
+        self._pool_row = array("q", rows)
         self._mem_lat = int(network.pms[0].memory.latency)
 
     def _extract_ring_ports(
@@ -276,48 +307,44 @@ class ColumnarEngine:
             owner[id(iri.lower_port)] = ("lower", iri)
             owner[id(iri.upper_port)] = ("upper", iri)
 
-        srcs = np.full((len(ports), 3), -1, dtype=np.int64)
-        lo = np.zeros(len(ports), dtype=np.int64)
-        hi = np.zeros(len(ports), dtype=np.int64)
-        din_r = np.zeros(len(ports), dtype=np.int64)
-        din_q = np.zeros(len(ports), dtype=np.int64)
-        dout_r = np.zeros(len(ports), dtype=np.int64)
-        dout_q = np.zeros(len(ports), dtype=np.int64)
-        fast = np.zeros(len(ports), dtype=np.bool_)
-        lvl = np.zeros(len(ports), dtype=np.int64)
+        #: per send priority, each port's source buffer (-1: none)
+        srcs: list[list[int]] = [[-1] * len(ports) for _ in range(3)]
+        #: six words per port, ``ckernel``'s ``ring_routes`` input: the pm
+        #: range behind the downstream port, then the buffer a (request,
+        #: response) takes inside that range and outside it
+        routes: list[int] = []
+        fast: list[int] = []
+        lvl: list[int] = []
 
         for u, port in enumerate(ports):
             for j, buf in enumerate(port.sources_by_priority):
-                srcs[u, j] = index[id(buf)]
-            fast[u] = port.speed == 2
+                srcs[j][u] = index[id(buf)]
+            fast.append(port.speed == 2)
             assert port.out_channel is not None and port.downstream is not None
-            lvl[u] = self.levels.index(port.out_channel.klass)
+            lvl.append(self.levels.index(port.out_channel.klass))
             dp = port.downstream
             if isinstance(dp, RingNIC):
-                lo[u], hi[u] = dp._pm_id, dp._pm_id + 1
-                din_r[u] = din_q[u] = index[id(dp._pm_in_queue)]
-                dout_r[u] = dout_q[u] = index[id(dp.transit_buffer)]
+                lo, hi = dp._pm_id, dp._pm_id + 1
+                din_q = din_r = index[id(dp._pm_in_queue)]
+                dout_q = dout_r = index[id(dp.transit_buffer)]
             else:
                 side, iri = owner[id(dp)]
-                lo[u], hi[u] = iri.subtree_range
+                lo, hi = iri.subtree_range
                 if side == "lower":
-                    din_r[u] = din_q[u] = index[id(dp.transit_buffer)]
-                    dout_r[u] = index[id(iri.up_resp)]
-                    dout_q[u] = index[id(iri.up_req)]
+                    din_q = din_r = index[id(dp.transit_buffer)]
+                    dout_q, dout_r = index[id(iri.up_req)], index[id(iri.up_resp)]
                 else:
-                    din_r[u] = index[id(iri.down_resp)]
-                    din_q[u] = index[id(iri.down_req)]
-                    dout_r[u] = dout_q[u] = index[id(dp.transit_buffer)]
+                    din_q, din_r = index[id(iri.down_req)], index[id(iri.down_resp)]
+                    dout_q = dout_r = index[id(dp.transit_buffer)]
+            routes += (lo, hi, din_q, din_r, dout_q, dout_r)
 
         self.ports_per_replica = len(ports)
         self._t_port_names = [p.name for p in ports]
         self._t_srcs = srcs
-        self._t_lo, self._t_hi = lo, hi
-        self._t_din_r, self._t_din_q = din_r, din_q
-        self._t_dout_r, self._t_dout_q = dout_r, dout_q
+        self._t_routes = routes
         self._t_fast = fast
         self._t_lvl = lvl
-        self._subcycles = 2 if bool(fast.any()) else 1
+        self._subcycles = 2 if any(fast) else 1
 
     def _extract_mesh_ports(self, network: object, index: dict[int, int]) -> None:
         from ..mesh.network import MeshNetwork
@@ -326,19 +353,18 @@ class ColumnarEngine:
 
         assert isinstance(network, MeshNetwork)
         routers = network.routers
-        P = self.processors
-        V = len(routers)
 
-        # Router-input tables: 5 columns per router (N,E,S,W,LOCAL).
-        in_buf = np.zeros((V, 5), dtype=np.int64)
-        lq_resp = np.zeros(V, dtype=np.int64)
-        lq_req = np.zeros(V, dtype=np.int64)
-        for v, router in enumerate(routers):
-            for j, direction in enumerate(("N", "E", "S", "W")):
-                in_buf[v, j] = index[id(router.input_buffers[direction])]
-            lq_resp[v] = index[id(router._local_queues[0])]
-            lq_req[v] = index[id(router._local_queues[1])]
-            in_buf[v, 4] = lq_resp[v]  # placeholder; resolved per cycle
+        # Router-input table: 5 columns per router (N,E,S,W,LOCAL); the
+        # LOCAL entry is a placeholder, resolved per cycle from the
+        # router's two local queues.
+        in_buf: list[int] = []
+        lq_resp: list[int] = []
+        lq_req: list[int] = []
+        for router in routers:
+            lq_resp.append(index[id(router._local_queues[0])])
+            lq_req.append(index[id(router._local_queues[1])])
+            in_buf += [index[id(router.input_buffers[d])] for d in ("N", "E", "S", "W")]
+            in_buf.append(lq_resp[-1])
 
         # Ports: every *connected* (router, output) pair.
         m_router: list[int] = []
@@ -354,39 +380,39 @@ class ColumnarEngine:
                 m_chan.append(router._out_channel[out_key] is not None)
                 port_names.append(f"{router.name}.{out_key}")
 
-        # The compiled routers' cached next-hop rows (one byte per
-        # (node, destination), an index into the shared port order),
-        # widened to the columns' dtype.
-        rows = ecube_next_hop_rows(network.shape)
-        route = (
-            np.frombuffer(b"".join(rows), dtype=np.uint8)
-            .astype(np.int64)
-            .reshape(V, P)
-        )
-
         self.ports_per_replica = len(m_router)
         self._t_port_names = port_names
-        self._t_m_router = np.asarray(m_router, dtype=np.int64)
-        self._t_m_dir = np.asarray(m_dir, dtype=np.int64)
-        self._t_m_dst = np.asarray(m_dst, dtype=np.int64)
-        self._t_m_chan = np.asarray(m_chan, dtype=np.bool_)
+        self._t_m_router = m_router
+        self._t_m_dir = m_dir
+        self._t_m_dst = m_dst
+        self._t_m_chan = m_chan
         self._t_in_buf = in_buf
         self._t_lq_resp, self._t_lq_req = lq_resp, lq_req
-        self._t_route = route
-        self._routers_per_replica = V
+        # The compiled routers' cached next-hop rows (one byte per
+        # (node, destination), an index into the shared port order),
+        # widened to the columns' width; replicas share the one table.
+        self._route_flat = array("q", list(b"".join(ecube_next_hop_rows(network.shape))))
+        self._routers_per_replica = len(routers)
         self._subcycles = 1
 
     # ------------------------------------------------------------------
     # replica-tiled dynamic state
     # ------------------------------------------------------------------
-    def _tile_buf(self, col: I64) -> I64:
-        """Tile a buffer-id column across replicas (-1 -> sentinel)."""
-        R, B = self.replicas, self.buffers_per_replica
-        base = np.tile(col, R)
-        off = np.repeat(np.arange(R, dtype=np.int64) * B, col.shape[0])
-        out = base + off
-        out[base < 0] = self._sent
+    def _tiled(
+        self, column: Sequence[int], stride: int, none: int = -1
+    ) -> "array[int]":
+        """*column* once per replica, replica ``r``'s copy shifted by
+        ``r * stride`` (negative entries become *none*, unshifted)."""
+        src = array("q", column)
+        out = _ints(len(src) * self.replicas)
+        self._kernel.tile_offset(
+            _addr(out), _addr(src), len(src), self.replicas, stride, none
+        )
         return out
+
+    def _tiled_buffers(self, column: Sequence[int]) -> "array[int]":
+        """A buffer-id column across replicas (-1 -> the sentinel)."""
+        return self._tiled(column, self.buffers_per_replica, self._sent)
 
     def _build_state(self) -> None:
         R = self.replicas
@@ -396,189 +422,169 @@ class ColumnarEngine:
         NB = R * B
         self._sent = NB  # sentinel buffer: occupancy pinned to 0
 
-        capm = _pow2(int(self._t_caps[self._t_caps < _SINK_CAP].max()))
+        capm = _pow2(max(cap for cap in self._t_caps if cap < _SINK_CAP))
         self._smask = capm - 1
         self._blog = capm.bit_length() - 1
-        self._occ = np.zeros(NB + 1, dtype=np.int64)
-        self._head = np.zeros(NB + 1, dtype=np.int64)
-        self._slots = np.zeros((NB + 1) * capm, dtype=np.int64)
-        self._cap = np.concatenate(
-            [np.tile(self._t_caps, R), np.asarray([_SINK_CAP], dtype=np.int64)]
-        )
-        self._is_sink = np.concatenate(
-            [np.tile(self._t_sink_pm >= 0, R), np.asarray([False])]
-        )
-        sink_local = np.tile(self._t_sink_pm, R)
-        sink_off = np.repeat(np.arange(R, dtype=np.int64) * P, B)
-        self._sink_pm = np.concatenate(
-            [
-                np.where(sink_local >= 0, sink_local + sink_off, -1),
-                np.asarray([-1], dtype=np.int64),
-            ]
-        )
+        self._occ = _ints(NB + 1)
+        self._head = _ints(NB + 1)
+        self._slots = _ints((NB + 1) * capm)
+        self._cap = array("q", self._t_caps) * R
+        self._cap.append(_SINK_CAP)
+        self._is_sink = array("B", [pm >= 0 for pm in self._t_sink_pm]) * R
+        self._is_sink.append(0)
+        self._sink_pm = self._tiled(self._t_sink_pm, P)
+        self._sink_pm.append(-1)
 
         U = self.ports_per_replica
         NU = R * U
-        self._r_of_port = np.repeat(np.arange(R, dtype=np.int64), U)
-        self._mid = np.zeros(NU, dtype=np.bool_)
-        self._rem = np.zeros(NU, dtype=np.int64)
-        self._cont_src = np.full(NU, self._sent, dtype=np.int64)
-        self._cont_dst = np.full(NU, self._sent, dtype=np.int64)
+        self._r_of_port = self._tiled([0] * U, 1)
+        self._mid = _ints(NU, code="B")
+        self._rem = _ints(NU)
+        self._cont_src = _ints(NU, self._sent)
+        self._cont_dst = _ints(NU, self._sent)
 
         if self.kind == "ring":
-            self._psrc3 = np.stack(
-                [self._tile_buf(self._t_srcs[:, j]) for j in range(3)]
-            )
+            # (3, NU): the j-th priority source of every port
+            self._psrc3 = array("q")
+            for column in self._t_srcs:
+                self._psrc3 += self._tiled_buffers(column)
             # Flat routing table: port x (2*dest + is_resp) -> output
             # buffer.  One gather replaces the classifier compare/where
             # chain in the propose hot path.
-            dests = np.arange(P, dtype=np.int64)
-            inr = (self._t_lo[:, None] <= dests[None, :]) & (
-                dests[None, :] < self._t_hi[:, None]
-            )
-            tbl = np.empty((U, P, 2), dtype=np.int64)
-            tbl[:, :, 0] = np.where(
-                inr, self._t_din_q[:, None], self._t_dout_q[:, None]
-            )
-            tbl[:, :, 1] = np.where(
-                inr, self._t_din_r[:, None], self._t_dout_r[:, None]
-            )
-            self._rt_tbl = self._tile_buf(tbl.reshape(-1))
-            self._fast = np.tile(self._t_fast, R)
-            self._lvl_of = np.tile(self._t_lvl, R) + self._r_of_port * L
+            self._rt_tbl = _ints(NU * P * 2)
+            routes = array("q", self._t_routes)
+            self._kernel.ring_routes(_addr(self._rt_tbl), _addr(routes), U, P, R, B)
+            self._fast = array("B", self._t_fast) * R
+            self._lvl_of = self._tiled(self._t_lvl, L)
         else:
             V = self._routers_per_replica
-            self._m_dst = self._tile_buf(self._t_m_dst)
-            self._m_dir = np.tile(self._t_m_dir, R)
-            router_flat = np.tile(self._t_m_router, R) + np.repeat(
-                np.arange(R, dtype=np.int64) * V, U
-            )
-            self._m_router5 = router_flat * 5
-            self._in_buf = self._tile_buf(self._t_in_buf.reshape(-1))
-            self._lq_resp = self._tile_buf(self._t_lq_resp)
-            self._lq_req = self._tile_buf(self._t_lq_req)
-            self._route_flat = self._t_route.reshape(-1)
+            self._m_dst = self._tiled_buffers(self._t_m_dst)
+            self._m_dir = array("q", self._t_m_dir) * R
+            self._m_router5 = self._tiled([5 * v for v in self._t_m_router], 5 * V)
+            self._in_buf = self._tiled_buffers(self._t_in_buf)
+            self._lq_resp = self._tiled_buffers(self._t_lq_resp)
+            self._lq_req = self._tiled_buffers(self._t_lq_req)
             NI = R * V * 5
-            self._claimed = np.zeros(NI, dtype=np.bool_)
-            self._rr = np.zeros(NU, dtype=np.int64)
-            self._lock = np.full(NU, -1, dtype=np.int64)
+            self._claimed = _ints(NI, code="B")
+            self._rr = _ints(NU)
+            self._lock = _ints(NU, -1)
             # ejection ports carry no channel: tallied in a spare slot
-            self._lvl_of = np.where(
-                np.tile(self._t_m_chan, R), self._r_of_port * L, R * L
+            self._lvl_of = self._tiled(
+                [0 if chan else -1 for chan in self._t_m_chan], L, none=R * L
             )
             # Per (router, direction) the mask of inputs whose head
             # requests it, per router input the buffer that head would
             # leave, and per row the input that won.
-            self._k_req = np.zeros(NI, dtype=np.int64)
-            self._k_req_src = np.zeros(NI, dtype=np.int64)
-            self._k_row_in = np.zeros(NU, dtype=np.int64)
+            self._k_req = _ints(NI)
+            self._k_req_src = _ints(NI)
+            self._k_row_in = _ints(NU)
 
         NP_ = R * P
         self._np_ = NP_
-        self._pm_local = np.tile(np.arange(P, dtype=np.int64), R)
-        self._r_of_pm = np.repeat(np.arange(R, dtype=np.int64), P)
-        self._outstanding = np.zeros(NP_, dtype=np.int64)
-        self._rem_open = np.zeros(NP_, dtype=np.int64)
-        self._rx_cnt = np.zeros(NP_, dtype=np.int64)
-        self._rx_pid = np.zeros(NP_, dtype=np.int64)
+        self._pm_local = array("q", range(P)) * R
+        self._r_of_pm = self._tiled([0] * P, 1)
+        self._outstanding = _ints(NP_)
+        self._rem_open = _ints(NP_)
+        self._rx_cnt = _ints(NP_)
+        self._rx_pid = _ints(NP_)
         self._t_limit = self.workload.outstanding
 
         # M-MRP columns: cycles to the next miss, the "that countdown
         # ends a run of failures, not a miss" flag, the parked miss, and
-        # one MT19937 state per column with the key it is seeded from.
-        self._countdown = np.zeros(NP_, dtype=np.int64)
-        self._draw_more = np.zeros(NP_, dtype=np.uint8)
-        self._pend = np.zeros(NP_, dtype=np.bool_)
-        self._pend_read = np.zeros(NP_, dtype=np.bool_)
-        self._pend_tgt = np.zeros(NP_, dtype=np.int64)
-        self._mt = np.zeros(NP_ * _MT_STATE, dtype=np.uint32)
+        # one MT19937 state per column with the key it is seeded from
+        # (little-endian 32-bit words, zero-padded to the widest key).
+        self._countdown = _ints(NP_)
+        self._draw_more = _ints(NP_, code="B")
+        self._pend = _ints(NP_, code="B")
+        self._pend_read = _ints(NP_, code="B")
+        self._pend_tgt = _ints(NP_)
+        self._mt = _ints(NP_ * _MT_STATE, code="I")
         keys = _stream_keys(self.seeds, P)
-        width = max(1, (max(keys).bit_length() + 31) // 32)
-        self._mt_key = np.frombuffer(
-            b"".join(key.to_bytes(4 * width, "little") for key in keys), dtype="<u4"
-        ).astype(np.uint32)
-        self._draw_p = np.asarray(
-            [self.workload.miss_rate, self.workload.read_fraction], dtype=np.float64
+        self._key_words = max(1, (max(keys).bit_length() + 31) // 32)
+        self._mt_key = array(
+            "I",
+            [(key >> 32 * w) & 0xFFFFFFFF for key in keys for w in range(self._key_words)],
         )
+        self._draw_p = array("d", [self.workload.miss_rate, self.workload.read_fraction])
 
         # Memory and local-completion pipelines: the service latency is
         # one constant, so ready times are non-decreasing in accept
         # order and a flat circular FIFO needs one head comparison.
         mq = _pow2(NP_ * self._t_limit + NP_ + 8)
         self._k_mq_mask = mq - 1
-        self._k_mem_ready = np.zeros(mq, dtype=np.int64)
-        self._k_mem_pm = np.zeros(mq, dtype=np.int64)
-        self._k_mem_pid = np.zeros(mq, dtype=np.int64)
-        self._k_loc_ready = np.zeros(mq, dtype=np.int64)
-        self._k_loc_pm = np.zeros(mq, dtype=np.int64)
+        self._k_mem_ready = _ints(mq)
+        self._k_mem_pm = _ints(mq)
+        self._k_mem_pid = _ints(mq)
+        self._k_loc_ready = _ints(mq)
+        self._k_loc_pm = _ints(mq)
         # Staging for packets waiting on output-queue space: responses
         # occupy columns [0, NP_), requests [NP_, 2*NP_) — the queues
         # are independent, so draining every response column before any
         # request column is the object model's responses-first order.
         self._stgcap = _pow2(max(2, P * self._t_limit))
         self._stgmask = self._stgcap - 1
-        self._stg_pid = np.zeros(2 * NP_ * self._stgcap, dtype=np.int64)
-        self._stg_head = np.zeros(2 * NP_, dtype=np.int64)
-        self._stg_cnt = np.zeros(2 * NP_, dtype=np.int64)
-        self._stg_q = np.concatenate(
-            [self._tile_buf(self._t_out_resp), self._tile_buf(self._t_out_req)]
-        )
-        self._stg_qcap = self._cap[self._stg_q]
+        self._stg_pid = _ints(2 * NP_ * self._stgcap)
+        self._stg_head = _ints(2 * NP_)
+        self._stg_cnt = _ints(2 * NP_)
+        self._stg_q = array("q")
+        self._stg_qcap = array("q")
+        for queues in (self._t_out_resp, self._t_out_req):
+            self._stg_q += self._tiled_buffers(queues)
+            self._stg_qcap += array("q", [self._t_caps[q] for q in queues]) * R
 
         # Packet table (flat, growable; row 0 is a reserved dummy).
-        cap0 = 4096
-        self._pkt_dest = np.zeros(cap0, dtype=np.int64)
-        self._pkt_src = np.zeros(cap0, dtype=np.int64)
-        self._pkt_size = np.ones(cap0, dtype=np.int64)
-        self._pkt_issue = np.zeros(cap0, dtype=np.int64)
-        self._pkt_resp = np.zeros(cap0, dtype=np.bool_)
-        self._pkt_read = np.zeros(cap0, dtype=np.bool_)
+        self._pkt_dest = _ints(_PKT_ROWS)
+        self._pkt_src = _ints(_PKT_ROWS)
+        self._pkt_size = _ints(_PKT_ROWS, 1)
+        self._pkt_issue = _ints(_PKT_ROWS)
+        self._pkt_resp = _ints(_PKT_ROWS, code="B")
+        self._pkt_read = _ints(_PKT_ROWS, code="B")
         # Routing code ``2*dest + is_resp`` — the propose path's single
         # per-packet gather, indexing the flat port routing table.
-        self._pkt_rt = np.zeros(cap0, dtype=np.int64)
+        self._pkt_rt = _ints(_PKT_ROWS)
 
         # One subcycle's proposal rows (at most one per port, appended
         # in ascending port order): port, source and destination
         # buffer, packet id, survives-resolve flag.
-        self._k_row_port = np.zeros(NU, dtype=np.int64)
-        self._k_row_src = np.zeros(NU, dtype=np.int64)
-        self._k_row_dst = np.zeros(NU, dtype=np.int64)
-        self._k_row_pid = np.zeros(NU, dtype=np.int64)
-        self._k_row_live = np.zeros(NU, dtype=np.uint8)
+        self._k_row_port = _ints(NU)
+        self._k_row_src = _ints(NU)
+        self._k_row_dst = _ints(NU)
+        self._k_row_pid = _ints(NU)
+        self._k_row_live = _ints(NU, code="B")
         # Per buffer, the stamped row that drains / fills it, and the
         # resolver's stack (<= NU seeds + one push per revocation).
-        self._k_drainer = np.zeros(NB + 1, dtype=np.int64)
-        self._k_filler = np.zeros(NB + 1, dtype=np.int64)
-        self._k_work = np.zeros(2 * NU, dtype=np.int64)
+        self._k_drainer = _ints(NB + 1)
+        self._k_filler = _ints(NB + 1)
+        self._k_work = _ints(2 * NU)
         # Packets completed this cycle as (pm, packet) pairs: a PM
         # ejects at most one flit per subcycle.
-        self._k_comp = np.zeros(2 * self._subcycles * NP_, dtype=np.int64)
+        self._k_comp = _ints(2 * self._subcycles * NP_)
 
         # Statistics: batch-scoped latency tallies + cumulative counters.
-        self._rem_sum = np.zeros(R, dtype=np.float64)
-        self._rem_cnt = np.zeros(R, dtype=np.int64)
-        self._rem_min = np.full(R, np.inf)
-        self._rem_max = np.full(R, -np.inf)
-        self._rem_last = np.full(R, np.nan)
-        self._loc_sum = np.zeros(R, dtype=np.float64)
-        self._loc_cnt_stat = np.zeros(R, dtype=np.int64)
-        self._loc_min = np.full(R, np.inf)
-        self._loc_max = np.full(R, -np.inf)
-        self._loc_last = np.full(R, np.nan)
-        self.remote_completed = np.zeros(R, dtype=np.int64)
-        self.local_completed = np.zeros(R, dtype=np.int64)
-        self.remote_issued = np.zeros(R, dtype=np.int64)
-        self.local_issued = np.zeros(R, dtype=np.int64)
-        self._flits_level = np.zeros(R * L + 1, dtype=np.int64)
-        self.flits_moved_replica = np.zeros(R, dtype=np.int64)
-        self._cyc_prop = np.zeros(R, dtype=np.int64)
-        self._cyc_comm = np.zeros(R, dtype=np.int64)
-        self._stalled = np.zeros(R, dtype=np.int64)
+        self._rem_sum = _floats(R)
+        self._rem_cnt = _ints(R)
+        self._rem_min = _floats(R, math.inf)
+        self._rem_max = _floats(R, -math.inf)
+        self._rem_last = _floats(R, math.nan)
+        self._loc_sum = _floats(R)
+        self._loc_cnt_stat = _ints(R)
+        self._loc_min = _floats(R, math.inf)
+        self._loc_max = _floats(R, -math.inf)
+        self._loc_last = _floats(R, math.nan)
+        self.remote_completed = _ints(R)
+        self.local_completed = _ints(R)
+        self.remote_issued = _ints(R)
+        self.local_issued = _ints(R)
+        self._flits_level = _ints(R * L + 1)
+        self.flits_moved_replica = _ints(R)
+        self._cyc_prop = _ints(R)
+        self._cyc_comm = _ints(R)
+        self._stalled = _ints(R)
 
         # Scalars the kernel owns (``_kstate``) and their mirrors here.
-        self._kstate = np.zeros(KS.COUNT, dtype=np.int64)
+        self._kstate = _ints(KS.COUNT)
         self._kstate[KS.NPKT] = 1
-        self._kstate[KS.PKT_CAP] = cap0
+        self._kstate[KS.PKT_CAP] = _PKT_ROWS
         self._npkt = 1
         self._net_flits = 0
 
@@ -588,19 +594,19 @@ class ColumnarEngine:
     def _k_init(self) -> None:
         """Fill the parameter vector and pointer table, then seed.
 
-        The kernel shares every state array in place.  ``seed_streams``
+        The kernel shares every state column in place.  ``seed_streams``
         seeds each column's MT19937 from its key and draws its first
         inter-miss gap; from then on a column draws only when its miss
         is consumed.
         """
-        prm = np.zeros(PRM.COUNT, dtype=np.int64)
+        prm = (ctypes.c_int64 * PRM.COUNT)()
         prm[PRM.KIND] = 0 if self.kind == "ring" else 1
         prm[PRM.R] = self.replicas
         prm[PRM.U] = self.ports_per_replica
         prm[PRM.P] = self.processors
         prm[PRM.L] = len(self.levels)
         prm[PRM.NB] = self.replicas * self.buffers_per_replica
-        prm[PRM.NU] = self._mid.shape[0]
+        prm[PRM.NU] = len(self._mid)
         prm[PRM.NPM] = self._np_
         prm[PRM.V] = getattr(self, "_routers_per_replica", 0)
         prm[PRM.SENT] = self._sent
@@ -617,34 +623,29 @@ class ColumnarEngine:
         prm[PRM.STGMASK] = self._stgmask
         prm[PRM.MQ_MASK] = self._k_mq_mask
         prm[PRM.CHUNK] = LOOKAHEAD_CHUNK
-        prm[PRM.KEY_WORDS] = self._mt_key.shape[0] // self._np_
-        self._k_prm = prm
+        prm[PRM.KEY_WORDS] = self._key_words
         self._k_build_ptrs()
-        assert PTR.COUNT == len(self._k_arrs)
         # both tables are only ever written in place
-        self._k_args = (
-            self._k_ptr.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-            prm.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        )
+        self._k_args = (self._k_ptr, prm)
         self._kernel.seed_streams(*self._k_args)
 
     def _k_build_ptrs(self) -> None:
         dummy = self._occ  # valid pointer for slots the kind never reads
         ring = self.kind == "ring"
-        arrs: list[NDArray[np.int64] | NDArray[np.uint32] | NDArray[np.uint8] | B1 | F64] = [
+        cols: "list[array[int] | array[float]]" = [
             self._occ,
             self._head,
             self._slots,
             self._cap,
-            self._is_sink.view(np.uint8),
+            self._is_sink,
             self._sink_pm,
-            self._mid.view(np.uint8),
+            self._mid,
             self._rem,
             self._cont_src,
             self._cont_dst,
             self._psrc3 if ring else dummy,
             self._rt_tbl if ring else dummy,
-            self._fast.view(np.uint8) if ring else dummy,
+            self._fast if ring else dummy,
             self._lvl_of,
             self._r_of_port,
             dummy if ring else self._in_buf,
@@ -654,7 +655,7 @@ class ColumnarEngine:
             dummy if ring else self._m_dst,
             dummy if ring else self._m_dir,
             dummy if ring else self._m_router5,
-            dummy if ring else self._claimed.view(np.uint8),
+            dummy if ring else self._claimed,
             dummy if ring else self._rr,
             dummy if ring else self._lock,
             self._stg_q,
@@ -668,8 +669,8 @@ class ColumnarEngine:
             self._rx_pid,
             self._pm_local,
             self._r_of_pm,
-            self._pend.view(np.uint8),
-            self._pend_read.view(np.uint8),
+            self._pend,
+            self._pend_read,
             self._pend_tgt,
             self._countdown,
             self._draw_more,
@@ -682,8 +683,8 @@ class ColumnarEngine:
             self._pkt_src,
             self._pkt_size,
             self._pkt_issue,
-            self._pkt_resp.view(np.uint8),
-            self._pkt_read.view(np.uint8),
+            self._pkt_resp,
+            self._pkt_read,
             self._pkt_rt,
             self._k_mem_ready,
             self._k_mem_pm,
@@ -723,43 +724,39 @@ class ColumnarEngine:
             self._cyc_comm,
             self._kstate,
         ]
-        self._k_arrs = arrs
-        self._k_ptr = np.asarray(
-            [a.ctypes.data for a in arrs], dtype=np.uint64
-        )
+        assert PTR.COUNT == len(cols)
+        # A column's address is good for as long as nothing resizes it:
+        # only the packet table ever is, and that refreshes its slots.
+        self._k_ptr = (ctypes.c_void_p * PTR.COUNT)(*map(_addr, cols))
 
     def _k_grow_packets(self) -> None:
         """Grow the packet table and refresh the kernel pointer slots."""
         ks = self._kstate
-        n = int(ks[KS.NPKT])
+        n = ks[KS.NPKT]
         need = n + 2 * self._np_ + 4
-        if need <= self._pkt_dest.shape[0]:
+        rows = len(self._pkt_dest)
+        if need <= rows:
             return
-        new_cap = _pow2(2 * need)
-        for slot, attr in (
-            (PTR.PKT_DEST, "_pkt_dest"),
-            (PTR.PKT_SRC, "_pkt_src"),
-            (PTR.PKT_SIZE, "_pkt_size"),
-            (PTR.PKT_ISSUE, "_pkt_issue"),
-            (PTR.PKT_RESP, "_pkt_resp"),
-            (PTR.PKT_READ, "_pkt_read"),
-            (PTR.PKT_RT, "_pkt_rt"),
+        new_rows = _pow2(2 * need)
+        for slot, column in (
+            (PTR.PKT_DEST, self._pkt_dest),
+            (PTR.PKT_SRC, self._pkt_src),
+            (PTR.PKT_SIZE, self._pkt_size),
+            (PTR.PKT_ISSUE, self._pkt_issue),
+            (PTR.PKT_RESP, self._pkt_resp),
+            (PTR.PKT_READ, self._pkt_read),
+            (PTR.PKT_RT, self._pkt_rt),
         ):
-            old = getattr(self, attr)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            grown[:n] = old[:n]
-            setattr(self, attr, grown)
-            shared = grown.view(np.uint8) if grown.dtype == np.bool_ else grown
-            self._k_arrs[slot] = shared
-            self._k_ptr[slot] = shared.ctypes.data
-        ks[KS.PKT_CAP] = new_cap
+            column.extend(_ints(new_rows - rows, code=column.typecode))
+            self._k_ptr[slot] = _addr(column)
+        ks[KS.PKT_CAP] = new_rows
 
     def _k_sync(self) -> None:
         """Refresh the python-side mirrors of the kernel's scalar state."""
         ks = self._kstate
-        self.cycle = int(ks[KS.CYCLE])
-        self._npkt = int(ks[KS.NPKT])
-        self._net_flits = int(ks[KS.NET_FLITS])
+        self.cycle = ks[KS.CYCLE]
+        self._npkt = ks[KS.NPKT]
+        self._net_flits = ks[KS.NET_FLITS]
 
     # ------------------------------------------------------------------
     # the clock loop
@@ -785,15 +782,14 @@ class ColumnarEngine:
             if status == STATUS_PKT_GROW:
                 continue
             if status == STATUS_DEADLOCK:
-                replica = int(ks[KS.ARG])
-                raise DeadlockError(
-                    self.cycle,
-                    int(self._stalled[replica]),
-                    detail=(
-                        f"columnar replica {replica} "
-                        f"(seed {self.seeds[replica]})"
-                    ),
+                replica = ks[KS.ARG]
+                # a batch of one is a solo run: ``compiled``'s message
+                detail = (
+                    f"columnar replica {replica} (seed {self.seeds[replica]})"
+                    if self.replicas > 1
+                    else ""
                 )
+                raise DeadlockError(self.cycle, self._stalled[replica], detail=detail)
             if (
                 hook is not None
                 and interval > 0
@@ -807,43 +803,41 @@ class ColumnarEngine:
     # ------------------------------------------------------------------
     # statistics handoff
     # ------------------------------------------------------------------
-    def local_pending_counts(self) -> I64:
+    def local_pending_counts(self) -> list[int]:
         """In-flight local accesses per (replica, pm) column (audit use)."""
         ks = self._kstate
-        head = int(ks[KS.LOC_HEAD])
-        n = int(ks[KS.LOC_CNT])
-        idx = (head + np.arange(n, dtype=np.int64)) & self._k_mq_mask
-        return np.bincount(self._k_loc_pm[idx], minlength=self._np_)
+        head = ks[KS.LOC_HEAD]
+        counts = [0] * self._np_
+        for i in range(ks[KS.LOC_CNT]):
+            counts[self._k_loc_pm[(head + i) & self._k_mq_mask]] += 1
+        return counts
 
-    def take_batch(self) -> dict[str, F64 | I64]:
-        """Per-replica latency tallies for the batch just run; resets them."""
-        out: dict[str, F64 | I64] = {
-            "remote_sum": self._rem_sum.copy(),
-            "remote_count": self._rem_cnt.copy(),
-            "remote_min": self._rem_min.copy(),
-            "remote_max": self._rem_max.copy(),
-            "remote_last": self._rem_last.copy(),
-            "local_sum": self._loc_sum.copy(),
-            "local_count": self._loc_cnt_stat.copy(),
-            "local_min": self._loc_min.copy(),
-            "local_max": self._loc_max.copy(),
-            "local_last": self._loc_last.copy(),
+    def take_batch(self) -> "dict[str, array[int] | array[float]]":
+        """Per-replica latency tallies for the batch just run; resets them
+        (the ``last`` diagnostics carry over)."""
+        tallies: "dict[str, tuple[array[int] | array[float], float | None]]" = {
+            "remote_sum": (self._rem_sum, 0.0),
+            "remote_count": (self._rem_cnt, 0),
+            "remote_min": (self._rem_min, math.inf),
+            "remote_max": (self._rem_max, -math.inf),
+            "remote_last": (self._rem_last, None),
+            "local_sum": (self._loc_sum, 0.0),
+            "local_count": (self._loc_cnt_stat, 0),
+            "local_min": (self._loc_min, math.inf),
+            "local_max": (self._loc_max, -math.inf),
+            "local_last": (self._loc_last, None),
         }
-        self._rem_sum[:] = 0.0
-        self._rem_cnt[:] = 0
-        self._rem_min[:] = np.inf
-        self._rem_max[:] = -np.inf
-        self._loc_sum[:] = 0.0
-        self._loc_cnt_stat[:] = 0
-        self._loc_min[:] = np.inf
-        self._loc_max[:] = -np.inf
+        out = {name: column[:] for name, (column, _) in tallies.items()}
+        for column, start in tallies.values():
+            if start is not None:
+                column[:] = array(column.typecode, [start]) * self.replicas
         return out
 
     @property
-    def flits_level(self) -> I64:
-        """Cumulative channel flits as a (replicas, levels) matrix."""
+    def flits_level(self) -> "list[array[int]]":
+        """Cumulative channel flits: one row of per-level counts per replica."""
         L = len(self.levels)
-        return self._flits_level[: self.replicas * L].reshape(self.replicas, L)
+        return [self._flits_level[r * L : (r + 1) * L] for r in range(self.replicas)]
 
 
 def _simulate_on_compiled(
@@ -851,23 +845,28 @@ def _simulate_on_compiled(
     workload: WorkloadConfig,
     params: SimulationParams,
     seeds: Sequence[int],
+    miss_sources: "Sequence[MissSource] | None",
 ) -> "list[SimulationResult]":
     """The tier without its kernel: each seed alone under ``compiled``.
 
     Same bytes, one seed at a time.  A lockstep batch stops at the
     replica that wedges first in simulated time, so a deadlock is only
-    reported once every seed has run, for the earliest one.
+    reported once every seed has run, for the earliest one — as
+    ``compiled`` words it when the batch is one seed.
     """
     from .simulation import simulate
 
-    _reject_unmodelled(system, workload)
     results: list[SimulationResult] = []
     wedged: tuple[DeadlockError, int] | None = None
     for replica, seed in enumerate(seeds):
         solo = replace(params, seed=seed, replicas=1)
         try:
-            result = simulate(system, workload, replace(solo, scheduler="compiled"))
+            result = simulate(
+                system, workload, replace(solo, scheduler="compiled"), miss_sources
+            )
         except DeadlockError as exc:
+            if len(seeds) == 1:
+                raise
             if wedged is None or exc.cycle < wedged[0].cycle:
                 wedged = (exc, replica)
             continue
@@ -889,18 +888,21 @@ def simulate_columnar(
     seeds: Sequence[int] | None = None,
     cycle_hook: Callable[[ColumnarEngine], None] | None = None,
     hook_interval: int = 0,
+    miss_sources: "Sequence[MissSource] | None" = None,
 ) -> "list[SimulationResult]":
     """Run N seeds of one point on the kernel tier; one result per seed.
 
     Mirrors :func:`repro.core.simulation.simulate_batch`'s metering —
     per-replica batch-means latency, per-level utilization and
     throughput — but feeds the latency recorders from the engine's
-    array tallies via :meth:`LatencyStats.observe_batch`.  Each result
+    column tallies via :meth:`LatencyStats.observe_batch`.  Each result
     serializes to the bytes of a solo ``compiled`` run of its seed and
     keeps ``scheduler="columnar"`` in its ``params`` (an execution
-    detail, like ``"batched"``).  Without a kernel the seeds run under
-    ``compiled`` one by one, and ``cycle_hook`` — which needs columns
-    to look at — is not called.
+    detail, like ``"batched"``).  Where :func:`kernel_can_run` says no,
+    the seeds run under ``compiled`` one by one, and ``cycle_hook`` —
+    which needs columns to look at — is not called.  ``miss_sources``
+    (always that route) is only meaningful for a batch of one: the
+    sources are stateful objects.
     """
     from .simulation import SimulationResult
 
@@ -912,8 +914,10 @@ def simulate_columnar(
         seeds = tuple(seeds)
     if not seeds:
         raise ConfigurationError("simulate_columnar needs at least one seed")
-    if ckernel.load() is None:
-        return _simulate_on_compiled(system, workload, params, seeds)
+    if miss_sources is not None and len(seeds) != 1:
+        raise ConfigurationError("miss_sources requires a batch of exactly one replica")
+    if not kernel_can_run(system, workload, miss_sources):
+        return _simulate_on_compiled(system, workload, params, seeds, miss_sources)
 
     engine = ColumnarEngine(system, workload, params, seeds)
     engine.cycle_hook = cycle_hook
@@ -932,33 +936,24 @@ def simulate_columnar(
         flits = engine.flits_level
         for r, metrics in enumerate(hubs):
             metrics.remote_latency.observe_batch(
-                float(batch["remote_sum"][r]),
-                int(batch["remote_count"][r]),
-                float(batch["remote_min"][r]),
-                float(batch["remote_max"][r]),
-                float(batch["remote_last"][r]),
+                batch["remote_sum"][r],
+                batch["remote_count"][r],
+                batch["remote_min"][r],
+                batch["remote_max"][r],
+                batch["remote_last"][r],
             )
             metrics.local_latency.observe_batch(
-                float(batch["local_sum"][r]),
-                int(batch["local_count"][r]),
-                float(batch["local_min"][r]),
-                float(batch["local_max"][r]),
-                float(batch["local_last"][r]),
+                batch["local_sum"][r],
+                batch["local_count"][r],
+                batch["local_min"][r],
+                batch["local_max"][r],
+                batch["local_last"][r],
             )
             metrics.close_batch()
-            total = 0
-            for li, level in enumerate(levels):
-                carried = int(flits[r, li])
-                total += carried
-                util_meters[r][level].close_batch(
-                    carried, opp[level] * engine.cycle
-                )
-            all_meters[r].close_batch(
-                total, sum(opp.values()) * engine.cycle
-            )
-            completed = int(
-                engine.remote_completed[r] + engine.local_completed[r]
-            )
+            for level, carried in zip(levels, flits[r]):
+                util_meters[r][level].close_batch(carried, opp[level] * engine.cycle)
+            all_meters[r].close_batch(sum(flits[r]), sum(opp.values()) * engine.cycle)
+            completed = engine.remote_completed[r] + engine.local_completed[r]
             throughput_meters[r].close_batch(completed, engine.cycle)
 
     results: list[SimulationResult] = []
@@ -978,9 +973,9 @@ def simulate_columnar(
                 local_latency=metrics.local_latency.batch.summary(),
                 utilization=utilization,
                 throughput=throughput_meters[r].summary(),
-                remote_transactions=int(engine.remote_completed[r]),
-                local_transactions=int(engine.local_completed[r]),
-                flits_moved=int(engine.flits_moved_replica[r]),
+                remote_transactions=engine.remote_completed[r],
+                local_transactions=engine.local_completed[r],
+                flits_moved=engine.flits_moved_replica[r],
                 latency_range=(
                     metrics.remote_latency.minimum,
                     metrics.remote_latency.maximum,
@@ -990,4 +985,4 @@ def simulate_columnar(
     return results
 
 
-__all__ = ["ColumnarEngine", "simulate_columnar"]
+__all__ = ["ColumnarEngine", "kernel_can_run", "simulate_columnar"]

@@ -375,23 +375,30 @@ class SimulationParams:
     the paper's hardware (send and receive a flit in the same cycle);
     ``"conservative"`` is the occupancy-at-cycle-start ablation.
 
-    ``scheduler`` selects the engine's component visitation strategy:
-    ``"compiled"`` (default) skips provably idle components *and* runs
-    the propose/resolve/commit loop over flat integer arrays instead of
-    Transfer objects, ``"active"`` skips idle components on the object
-    datapath, ``"naive"`` scans everything every cycle, and
-    ``"batched"`` runs ``replicas`` seeds of the point in lockstep over
-    one compiled datapath (see :mod:`repro.core.batched`; requires
-    numpy).  ``"columnar"`` is the fifth: it runs ``replicas`` seeds as
-    struct-of-arrays columns stepped by a C kernel that draws each PM's
-    misses from the object model's own MT19937 stream
-    (:mod:`repro.core.columnar`, :mod:`repro.core.ckernel`; requires
-    numpy, and a C compiler for its speed — without one each seed runs
-    under ``compiled``).  It models wormhole switching and plain
-    Bernoulli injection only.  All five are behavior-identical (same
-    per-replica ``SimulationResult`` for every config — enforced by the
-    kernel equivalence test matrices), so the choice is an execution
-    detail and deliberately not part of the cached-result identity.
+    ``scheduler`` selects what steps the point.  ``"columnar"``
+    (default) is the kernel tier: the point — one seed, or ``replicas``
+    seeds — becomes struct-of-arrays columns stepped by a C kernel that
+    draws each PM's misses from the object model's own MT19937 stream
+    (:mod:`repro.core.columnar`, :mod:`repro.core.ckernel`; stdlib
+    only — the kernel is compiled once per host into
+    ``$XDG_CACHE_HOME/repro/``, default ``~/.cache/repro/``, and
+    ``dlopen`` ed from there; delete that directory to rebuild it).
+    One fallback rule covers everything the kernel cannot run — no C
+    compiler (or ``REPRO_COLUMNAR_KERNEL=0``), slotted ring switching,
+    bursty injection, caller-supplied miss sources, an active profiling
+    or audit context: that seed runs under ``"compiled"``, same bytes.
+    The other four step the object engine: ``"compiled"`` skips
+    provably idle components *and* runs the propose/resolve/commit loop
+    over flat integer arrays instead of Transfer objects — the kernel's
+    oracle in the equivalence tests and its fallback; ``"active"``
+    skips idle components on the object datapath; ``"naive"`` scans
+    everything every cycle; ``"batched"`` runs ``replicas`` seeds of
+    the point in lockstep over one compiled datapath (see
+    :mod:`repro.core.batched`; requires numpy).  All five are
+    behavior-identical (same per-replica ``SimulationResult`` for every
+    config — enforced by the kernel equivalence test matrices), so the
+    choice is an execution detail and deliberately not part of the
+    cached-result identity.
 
     ``replicas`` is the lockstep batch width used by the batch entry
     points (:func:`repro.core.simulation.simulate_batch`,
@@ -413,7 +420,7 @@ class SimulationParams:
     seed: int = 1
     deadlock_threshold: int = 50_000
     flow_control: str = "bypass"
-    scheduler: str = "compiled"
+    scheduler: str = "columnar"
     replicas: int = 1
 
     def validate(self) -> "SimulationParams":

@@ -313,7 +313,9 @@ class Engine:
     module docstring): ``"compiled"`` (default), ``"active"`` or
     ``"naive"``.  All three are behavior-identical; the slower ones are
     kept for the equivalence tests and the scheduler-ladder cells of
-    ``bench/``.
+    ``bench/``.  ``"columnar"`` — the kernel tier, which has no Engine
+    of its own — is accepted as an alias of ``"compiled"``, the engine
+    that tier falls back to.
 
     ``deadlock_threshold`` counts stalled *base* (PM) clock cycles —
     not subcycles — so its meaning does not change on systems with a
@@ -328,6 +330,11 @@ class Engine:
     ):
         if flow_control not in ("bypass", "conservative"):
             raise SimulationError(f"unknown flow control mode {flow_control!r}")
+        if scheduler == "columnar":
+            # The kernel tier's name reaches an Engine through callers
+            # that pass ``params.scheduler`` along; the tier runs what
+            # its kernel cannot under "compiled", and so does this.
+            scheduler = "compiled"
         if scheduler not in SCHEDULERS:
             raise SimulationError(f"unknown scheduler {scheduler!r}")
         self.flow_control = flow_control

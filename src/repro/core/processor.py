@@ -212,8 +212,8 @@ class BurstyMissGenerator(MissGenerator):
     (The compiled fast path fuses only the exact ``MissGenerator`` type
     — see ``ProcessingModule.compiled_update_handler`` — so this
     subclass automatically runs on the generic, still-correct path.
-    The columnar kernel draws the plain generator's stream only and
-    rejects bursty workloads outright.)
+    The columnar kernel draws the plain generator's stream only, so
+    that scheduler runs bursty workloads under ``compiled``.)
     """
 
     __slots__ = ("_on", "_p_exit_on", "_p_exit_off", "_on_rate")

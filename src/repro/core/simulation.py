@@ -155,6 +155,13 @@ def simulate(
 ) -> SimulationResult:
     """Run one batch-means simulation and collect all paper metrics.
 
+    With the default ``params.scheduler`` (``"columnar"``) the run is a
+    batch of one on the C kernel (:mod:`repro.core.columnar`), or —
+    where the kernel cannot run it, see
+    :func:`repro.core.columnar.kernel_can_run` — on the ``"compiled"``
+    object engine; the result is the same to the byte either way, and
+    the same as naming any other scheduler.
+
     ``miss_sources`` optionally replaces each PM's M-MRP generator with
     a caller-provided :class:`~repro.core.processor.MissSource` (one per
     processor) — used by the trace-replay workflow in
@@ -175,17 +182,12 @@ def simulate(
             system, workload, params, seeds=(params.seed,), miss_sources=miss_sources
         )[0]
     if params.scheduler == "columnar":
-        # A solo run is a column batch of one (same bytes as "compiled").
-        if miss_sources is not None:
-            raise ConfigurationError(
-                "the columnar scheduler draws every miss inside its "
-                "kernel; use scheduler='compiled' for trace-replay miss "
-                "sources"
-            )
+        # A solo run is a column batch of one (same bytes as "compiled",
+        # which is also what runs whatever the kernel cannot).
         from .columnar import simulate_columnar
 
         return simulate_columnar(
-            system, workload, params, seeds=(params.seed,)
+            system, workload, params, seeds=(params.seed,), miss_sources=miss_sources
         )[0]
 
     from .engine import Engine
@@ -251,7 +253,9 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """Run N seeds of one point in lockstep; one result per seed.
 
-    The replicas share a single
+    Under the default ``"columnar"`` scheduler the batch runs on the C
+    kernel (:func:`repro.core.columnar.simulate_columnar`).  Under any
+    other, the replicas share a single
     :class:`~repro.core.batched.BatchedEngine` (see its module docstring
     for the replica-axis layout), so per-cycle scheduling overhead is
     paid once per batch cycle instead of once per replica cycle.  Each
@@ -268,15 +272,11 @@ def simulate_batch(
     workload = (workload or WorkloadConfig()).validate()
     params = (params or DEFAULT_SIM).validate()
     if params.scheduler == "columnar":
-        if miss_sources is not None:
-            raise ConfigurationError(
-                "the columnar scheduler draws every miss inside its "
-                "kernel; use scheduler='compiled' for trace-replay miss "
-                "sources"
-            )
         from .columnar import simulate_columnar
 
-        return simulate_columnar(system, workload, params, seeds=seeds)
+        return simulate_columnar(
+            system, workload, params, seeds=seeds, miss_sources=miss_sources
+        )
     if seeds is None:
         seeds = tuple(range(params.seed, params.seed + params.replicas))
     else:

@@ -53,10 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         choices=sorted(SCHEDULER_CHOICES),
         default=None,
-        help="run every sweep point under this engine scheduler instead of "
-        "the default (all five return the same bytes and share one cache; "
-        "'columnar' steps replica batches in a C kernel; see README's "
-        "scheduler decision table)",
+        help="run every sweep point under this scheduler instead of the "
+        "default, 'columnar' (the C kernel; what it cannot run falls back "
+        "to 'compiled').  All five return the same bytes and share one "
+        "cache; name 'compiled' for the closure engine itself (see "
+        "README's scheduler decision table)",
     )
     parser.add_argument(
         "--jobs",

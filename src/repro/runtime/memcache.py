@@ -10,10 +10,12 @@ salt) implicitly invalidates the memory tier exactly like the disk one.
 
 Each entry stores the *canonical result text* — the byte-exact
 :func:`~repro.runtime.serialization.canonical_json` of the result
-payload — plus the deserialized :class:`SimulationResult`.  Serving the
-stored text keeps service responses byte-identical to a direct
-``run_point``; serving the stored object keeps runner memory hits free
-of JSON parse cost.
+payload — and nothing else.  Serving the stored text keeps service
+responses byte-identical to a direct ``run_point``; a caller that wants
+the :class:`SimulationResult` (the runner) gets it parsed from that
+text on the hit (~20 us, a tenth of a disk hit).  Keeping the
+deserialized object beside the text would cost 4-5 KB an entry that the
+byte bound cannot see and the service never reads.
 
 The cache is bounded twice: by entry count and by total stored text
 bytes (UTF-8 length).  Either bound evicts least-recently-used entries;
@@ -22,25 +24,38 @@ an entry bigger than the whole byte budget is simply not stored.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .serialization import result_from_payload
+
 if TYPE_CHECKING:
     from ..core.simulation import SimulationResult
 
 #: Defaults, overridable via ``REPRO_MEMCACHE_ENTRIES`` /
 #: ``REPRO_MEMCACHE_BYTES`` (0 disables the memory tier).
-DEFAULT_MAX_ENTRIES = 4096
+#:
+#: An entry is ~1.5 KB resident (1.1 KB of text, the key, the LRU node),
+#: and a service on the C kernel computes ~170 never-seen points a
+#: second, so the entry bound is reached within seconds and is what the
+#: process weighs: 256 is +0.4 MB.  It covers every single figure of the
+#: paper at every scale (the largest, fig17 at ``--scale full``, asks
+#: for 240 points; a whole ``default`` campaign is 689 distinct points,
+#: ``full`` 969).  A working set past the bound is served by the disk
+#: tier at about twice the latency (served p50 0.5-0.6 ms against
+#: 0.2-0.3 ms from memory); ``--mem-entries`` / the env var raise it for
+#: a service that wants a campaign resident.
+DEFAULT_MAX_ENTRIES = 256
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     text: str
-    result: SimulationResult
     size: int
 
 
@@ -91,8 +106,8 @@ class MemCache:
     def enabled(self) -> bool:
         return self.max_entries > 0 and self.max_bytes > 0
 
-    def get(self, key: str) -> "tuple[str, SimulationResult] | None":
-        """Hit as ``(canonical_text, result)``, bumping recency."""
+    def get_text(self, key: str) -> "str | None":
+        """Hit as the canonical text, bumping recency."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -100,9 +115,17 @@ class MemCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return entry.text, entry.result
+            return entry.text
 
-    def put(self, key: str, text: str, result: SimulationResult) -> None:
+    def get(self, key: str) -> "tuple[str, SimulationResult] | None":
+        """Hit as ``(canonical_text, result)``, the result parsed from the text."""
+        text = self.get_text(key)
+        if text is None:
+            return None
+        return text, result_from_payload(json.loads(text))
+
+    def put(self, key: str, text: str, result: "SimulationResult | None" = None) -> None:
+        """Store *text*; *result* (what it serializes) is not retained."""
         if not self.enabled:
             return
         size = len(text.encode("utf-8"))
@@ -112,7 +135,7 @@ class MemCache:
                 self._bytes -= old.size
             if size > self.max_bytes:
                 return  # would evict everything and still not fit
-            self._entries[key] = _Entry(text=text, result=result, size=size)
+            self._entries[key] = _Entry(text=text, size=size)
             self._bytes += size
             while len(self._entries) > self.max_entries or self._bytes > self.max_bytes:
                 __, evicted = self._entries.popitem(last=False)

@@ -167,10 +167,14 @@ def _load_simulator() -> None:
     sweep served entirely from the cache tiers never pays for it, and
     ``simulate()`` imports it on the first miss.  A process about to
     fork pool workers calls this first, so the workers inherit the
-    loaded modules instead of each importing them inside its first
-    point.
+    loaded modules — and the C kernel's mapping: on a host whose kernel
+    cache is still empty this is where the one compile happens, instead
+    of every worker racing its own — rather than each loading them
+    inside its first point.
     """
-    from ..core import engine, pm  # noqa: F401
+    from ..core import ckernel, columnar, engine, pm  # noqa: F401
+
+    ckernel.load()
 
 
 def _pool(workers: int, cache: ResultCache | None) -> ProcessPoolExecutor:
@@ -234,7 +238,7 @@ def run_replica_batch(
     cache: ResultCache | None | _UnsetType = _UNSET,
     progress: ProgressHook | None = None,
 ) -> list[SimulationResult]:
-    """Run one point under N seeds via the lockstep-batched engine.
+    """Run one point under N seeds as lockstep batches.
 
     Returns one :class:`SimulationResult` per seed, in seed order.
     ``seeds`` defaults to ``spec.params.seed .. seed + replicas - 1``.
@@ -244,11 +248,11 @@ def run_replica_batch(
     every fresh result is stored under its own per-seed spec — exactly
     the entry a solo ``run_point`` of that seed would read or write.
 
-    With ``spec.params.scheduler == "columnar"`` the batch runs on the
-    C kernel tier instead (:mod:`repro.core.columnar`): the same bytes
-    per seed, so it fills — and is served by — the very entries a
-    ``compiled`` request for that seed reads, typically 20-40x faster
-    than computing them one ``run_point`` at a time.
+    With ``spec.params.scheduler == "columnar"`` (the default) the
+    batch runs on the C kernel tier instead
+    (:mod:`repro.core.columnar`): the same bytes per seed, so it fills
+    — and is served by — the very entries a ``compiled`` request for
+    that seed reads.
     """
     if seeds is None:
         base = spec.params.seed

@@ -121,8 +121,9 @@ def workload_from_payload(payload: dict[str, Any]) -> WorkloadConfig:
 def params_payload(params: SimulationParams) -> dict[str, Any]:
     # ``params.scheduler`` and ``params.replicas`` are deliberately
     # omitted: all five schedulers are behavior-identical (enforced by
-    # the kernel equivalence tests; ``"columnar"`` joined them when its
-    # kernel started drawing ``compiled``'s own miss stream) and a
+    # the kernel equivalence tests; ``"columnar"``, the default, joined
+    # them when its kernel started drawing ``compiled``'s own miss
+    # stream) and a
     # lockstep batch is just N independent seeds, so cache keys and
     # result payloads must not depend on which scheduler — or how wide
     # a batch — computed a point.
@@ -139,11 +140,10 @@ def params_from_payload(payload: dict[str, Any]) -> SimulationParams:
     # ``"fidelity": "statistical"`` is what columnar payloads carried
     # while the tier was only statistically equivalent.  Nothing writes
     # it any more, but frozen inputs do (the benchmark's ``columnar_mid``
-    # points), so it still reads as "run this on the kernel tier".
+    # points); it meant "run this on the kernel tier", which is what
+    # every payload means now that the tier is the default scheduler.
     payload = dict(payload)
-    fidelity = payload.pop("fidelity", None)
-    if fidelity == "statistical":
-        return SimulationParams(**payload, scheduler="columnar")
+    payload.pop("fidelity", None)
     return SimulationParams(**payload)
 
 

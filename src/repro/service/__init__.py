@@ -20,8 +20,10 @@ Served results are byte-identical to a direct
 ``svc_cold`` / ``svc_warm`` workloads of ``python -m bench.run``.
 """
 
-# The service process exists to simulate, so it loads the simulator
-# first thing: every pool it ever forks inherits the loaded modules
+# The service process exists to simulate, so it loads the simulator —
+# the engine stack and the C kernel (compiled here, once, on a host
+# whose kernel cache is still empty) — first thing: every pool it ever
+# forks inherits the loaded modules and the kernel's mapping
 # (``warm_up`` then leaves nothing for a first request to import), and
 # importing the engine ahead of asyncio and the HTTP stack, as ``import
 # repro`` used to, keeps the process's peak RSS where it was (DESIGN.md

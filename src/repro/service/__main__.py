@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mem-entries",
         type=int,
         default=DEFAULT_MAX_ENTRIES,
-        help="in-memory LRU entry bound; 0 disables the memory tier",
+        help="in-memory LRU entry bound, ~1.5 KB each (default: %(default)s); "
+        "0 disables the memory tier",
     )
     parser.add_argument(
         "--mem-bytes",

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Awaitable, Callable
 
 from ..runtime import GLOBAL_MEMCACHE, MemCache, PointSpec, ResultCache
 from ..runtime.memcache import entry_key
-from ..runtime.runner import cache_lookup, cache_store
+from ..runtime.runner import cache_store
 from ..runtime.serialization import canonical_json, result_payload
 
 if TYPE_CHECKING:
@@ -53,16 +53,21 @@ class TieredCache:
         return entry_key(root, salt, spec_key)
 
     def lookup(self, spec: PointSpec, spec_key: str) -> "tuple[str, str] | None":
-        """Synchronous tier probe: ``(canonical_text, source)`` or None."""
-        if self.disk is not None:
-            hit = cache_lookup(self.disk, spec, spec_key, mem=self.mem)
-            if hit is not None:
-                return hit[0], hit[2]
-            return None
+        """Synchronous tier probe: ``(canonical_text, source)`` or None.
+
+        :func:`~repro.runtime.runner.cache_lookup` for a caller that
+        only wants the text: a memory hit parses nothing.
+        """
+        key = self._mem_key(spec_key)
         if self.mem.enabled:
-            mem_hit = self.mem.get(self._mem_key(spec_key))
-            if mem_hit is not None:
-                return mem_hit[0], "mem"
+            text = self.mem.get_text(key)
+            if text is not None:
+                return text, "mem"
+        if self.disk is not None:
+            entry = self.disk.get_entry(spec)
+            if entry is not None:
+                self.mem.put(key, *entry)
+                return entry[0], "disk"
         return None
 
     def store(self, spec: PointSpec, spec_key: str, result: SimulationResult) -> str:

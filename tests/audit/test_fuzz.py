@@ -139,3 +139,60 @@ def test_run_case_fails_fast_on_spec_rejection(monkeypatch):
     assert result.failed
     assert result.kind == "spec"
     assert "synthetic spec rejection" in result.detail
+
+
+def _kernel_case(switching):
+    return FuzzCase(
+        RingSystemConfig(topology="2:3", cache_line_bytes=32, switching=switching),
+        WorkloadConfig(miss_rate=0.05, outstanding=2),
+        SimulationParams(batch_cycles=150, batches=3, seed=11, deadlock_threshold=3000),
+    )
+
+
+def test_kernel_pass_skips_what_the_kernel_cannot_run(monkeypatch):
+    """``include_columnar`` compares a case with the C kernel only where
+    the kernel runs it (the tier's own rule): never a slotted ring, and
+    nothing at all on a host without a kernel."""
+    from repro.core import ckernel
+
+    slotted = run_case(_kernel_case("slotted"), include_columnar=True)
+    assert not slotted.failed and not slotted.kernel_compared
+    wormhole = run_case(_kernel_case("wormhole"), include_columnar=True)
+    assert not wormhole.failed
+    assert wormhole.kernel_compared == ckernel.available()
+    assert not run_case(_kernel_case("wormhole")).kernel_compared
+    monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
+    off = run_case(_kernel_case("wormhole"), include_columnar=True)
+    assert not off.failed and not off.kernel_compared
+
+
+def test_kernel_comparison_that_never_sampled_is_a_failure():
+    """The materialization audit rides on ``cycle_hook``, which a run
+    that fell back to ``compiled`` never calls: a comparison whose run
+    finished unsampled did not look at the kernel, and says so."""
+    from repro import audit
+    from repro.audit import fuzz as fuzz_module
+    from repro.core import ckernel
+
+    if not ckernel.available():
+        pytest.skip("no C kernel on this host")
+    case = _kernel_case("wormhole")
+    baseline = fuzz_module._run_one(case, "compiled")
+    assert fuzz_module._columnar_problem(case, baseline) is None
+    with audit.enabled(audit.Auditor()):  # routes the run off the kernel
+        problem = fuzz_module._columnar_problem(case, baseline)
+    assert "no cycle sampled" in problem
+
+
+def test_kernel_campaign_that_compared_nothing_fails(tmp_path, monkeypatch):
+    """Asked to vet the kernel on a host that has none, a campaign whose
+    every case passed still fails — it vetted nothing."""
+    lines = []
+    monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
+    failures = run_fuzz(
+        cases=2, seed=2, out_dir=tmp_path, log=lines.append, include_columnar=True
+    )
+    assert failures == 1
+    assert "columnar: 0 case(s) compared with the C kernel" in lines
+    assert not list(tmp_path.iterdir())  # no case failed: no reproducer
+    assert run_fuzz(cases=2, seed=2, out_dir=tmp_path, log=lines.append) == 0

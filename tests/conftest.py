@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +23,14 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+# The C kernel's shared object is cached per user (repro.core.ckernel).
+# The suite keeps a cache of its own, set before anything can load the
+# kernel and inherited by every child it spawns: tier-1 neither reads
+# nor writes ~/.cache, and compiles once per session rather than once
+# per fresh interpreter.
+os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(prefix="repro-test-xdg-")
+atexit.register(shutil.rmtree, os.environ["XDG_CACHE_HOME"], ignore_errors=True)
+
 from repro import (
     MeshSystemConfig,
     RingSystemConfig,
@@ -30,12 +41,12 @@ from repro import (
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_child(code: str, *args: str) -> dict:
+def _run_child(code: str, *args: str, env: dict[str, str] | None = None) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR), **(env or {})},
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -46,10 +57,11 @@ def _run_child(code: str, *args: str) -> dict:
 
 @pytest.fixture(scope="session")
 def run_child():
-    """``run_child(code, *argv)``: run *code* in a fresh interpreter
-    (``PYTHONPATH=src`` only) and return the JSON object it prints last,
-    plus its whole ``stdout`` — for what this process, with the simulator
-    long imported, can no longer observe."""
+    """``run_child(code, *argv, env=None)``: run *code* in a fresh
+    interpreter (``PYTHONPATH=src`` only, *env* on top of this process's
+    environment) and return the JSON object it prints last, plus its
+    whole ``stdout`` — for what this process, with the simulator long
+    imported, can no longer observe."""
     return _run_child
 
 

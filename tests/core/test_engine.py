@@ -168,6 +168,25 @@ class TestConservativeFlowControl:
             Engine(flow_control="psychic")
 
 
+class TestSchedulerNames:
+    def test_kernel_tier_name_steps_compiled(self):
+        """Callers that hand ``params.scheduler`` straight to an Engine
+        (the benchmark's traced run) now hand it the default, the
+        kernel tier's name: the engine that tier falls back to runs."""
+        a, b = buffers(1, 1)
+        (f1,) = fresh_flits(1)
+        a.push(f1)
+        engine = Engine(scheduler="columnar")
+        assert engine.scheduler == "compiled"
+        engine.add_component(Pipe(a, b))
+        engine.step()
+        assert b.peek() is f1
+
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(SimulationError):
+            Engine(scheduler="batched")
+
+
 @pytest.mark.parametrize("scheduler", ("compiled", "active", "naive"))
 class TestProposalValidation:
     """The structural proposal checks hold under every scheduler.

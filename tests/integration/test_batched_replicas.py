@@ -33,7 +33,10 @@ from repro.core.packet import Packet, PacketType
 from repro.core.simulation import simulate, simulate_batch
 from repro.runtime.serialization import canonical_json, result_payload
 
-PARAMS = SimulationParams(batch_cycles=300, batches=3, seed=21)
+#: The lockstep engine under test, named: the default scheduler is the
+#: kernel tier.  Solo reference runs name the closure engine.
+PARAMS = SimulationParams(batch_cycles=300, batches=3, seed=21, scheduler="batched")
+SOLO = replace(PARAMS, scheduler="compiled")
 
 
 def payload(result):
@@ -63,7 +66,7 @@ def test_replicas_equal_individual_seeds(system):
     workload = WorkloadConfig(miss_rate=0.05, outstanding=4)
     batch = simulate_batch(system, workload, replace(PARAMS, replicas=3))
     for result, seed in zip(batch, (21, 22, 23)):
-        solo = simulate(system, workload, replace(PARAMS, seed=seed))
+        solo = simulate(system, workload, replace(SOLO, seed=seed))
         assert payload(result) == payload(solo), f"replica seed {seed} diverged"
         assert result.params.seed == seed
         assert result.latency_range == solo.latency_range
@@ -77,7 +80,7 @@ def test_explicit_seed_list_orders_results():
     assert [result.params.seed for result in batch] == list(seeds)
     for result, seed in zip(batch, seeds):
         assert payload(result) == payload(
-            simulate(system, workload, replace(PARAMS, seed=seed))
+            simulate(system, workload, replace(SOLO, seed=seed))
         )
 
 
@@ -86,7 +89,7 @@ def test_replica_flits_partition_the_total():
     workload = WorkloadConfig(miss_rate=0.1, outstanding=4)
     batch = simulate_batch(system, workload, replace(PARAMS, replicas=4))
     solo_total = sum(
-        simulate(system, workload, replace(PARAMS, seed=s)).flits_moved
+        simulate(system, workload, replace(SOLO, seed=s)).flits_moved
         for s in (21, 22, 23, 24)
     )
     assert sum(result.flits_moved for result in batch) == solo_total

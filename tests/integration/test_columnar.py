@@ -1,35 +1,40 @@
 """Kernel tier integration: ``compiled`` is the oracle, byte for byte.
 
-The columnar scheduler (``SimulationParams.scheduler="columnar"``)
-keeps all replicas of a point as flat columns and steps them in a C
-kernel (repro.core.ckernel) that draws each PM's miss stream from the
-same MT19937 words, in the same order, as the object model's
+The columnar scheduler — what ``SimulationParams()`` selects — keeps
+all replicas of a point as flat columns and steps them in a C kernel
+(repro.core.ckernel) that draws each PM's miss stream from the same
+MT19937 words, in the same order, as the object model's
 ``random.Random``.  What this module pins down:
 
-* every replica of a batch serializes to the bytes of a solo
-  ``compiled`` run of its seed — over fabrics, loads, flow controls,
-  workload knobs, traffic patterns, degenerate target pools, draw-chunk
-  continuations and multi-word seeds — both against ``compiled``
-  directly and against the tier's own no-kernel route
-  (``REPRO_COLUMNAR_KERNEL=0``, which *is* ``compiled``);
+* every replica of a batch, and a default ``simulate()`` of its first
+  seed, serializes to the bytes of a solo ``scheduler="compiled"`` run
+  of that seed — over fabrics, loads, flow controls, workload knobs,
+  traffic patterns, degenerate target pools, draw-chunk continuations
+  and multi-word seeds — both against ``compiled`` directly and against
+  the tier's own no-kernel route (``REPRO_COLUMNAR_KERNEL=0``, which
+  *is* ``compiled``);
 * each column is seeded the way ``random.Random(n)`` seeds itself;
-* a wedged replica raises ``compiled``'s ``DeadlockError`` numbers;
+* a wedged replica raises ``compiled``'s ``DeadlockError`` numbers, a
+  wedged solo run its very message;
 * a batch clears the aggregate-throughput floor the tier exists for;
-* configuration guards reject what the tier does not model (slotted
-  ring switching, bursty injection, externally supplied miss sources)
-  on either route;
+* the one fallback rule: what the kernel cannot run (slotted ring
+  switching, bursty injection, caller-supplied miss sources, a run
+  under the auditor or the profiler, a host without a kernel) runs
+  under ``compiled`` — same bytes, and the kernel is not entered;
 * cache identity: all five schedulers share one, and a legacy
-  ``"fidelity": "statistical"`` payload still selects the tier.
+  ``"fidelity": "statistical"`` payload still loads.
 """
 
 import math
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 
-from repro.core import ckernel, columnar
+from repro import audit
+from repro.core import ckernel, columnar, profiling
 from repro.core.columnar import ColumnarEngine, simulate_columnar
 from repro.core.config import (
     TRAFFIC_PATTERNS,
@@ -48,8 +53,13 @@ from repro.runtime.serialization import (
     params_payload,
     result_payload,
 )
+from repro.workload.mmrp import RegionTargetSelector
+from repro.workload.trace import record_mmrp_trace, trace_miss_sources
 
-PARAMS = SimulationParams(batch_cycles=300, batches=3, seed=7, scheduler="columnar")
+#: No scheduler named: every run below that does not pin one takes the
+#: route every caller gets.
+PARAMS = SimulationParams(batch_cycles=300, batches=3, seed=7)
+assert PARAMS.scheduler == "columnar"
 WORKLOAD = WorkloadConfig(locality=0.9, miss_rate=0.04, outstanding=4)
 
 RING = RingSystemConfig(topology="2:4", cache_line_bytes=32)
@@ -67,6 +77,21 @@ needs_kernel = pytest.mark.skipif(not ckernel.available(), reason="no C toolchai
 
 def payloads(results):
     return [canonical_json(result_payload(r)) for r in results]
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The ``ColumnarEngine.run`` calls made while the test runs (cycles
+    asked for, in order): which datapath a simulation took."""
+    calls = []
+    real = ColumnarEngine.run
+
+    def spy(self, cycles):
+        calls.append(cycles)
+        real(self, cycles)
+
+    monkeypatch.setattr(ColumnarEngine, "run", spy)
+    return calls
 
 
 def on_both_paths(system, workload, params, monkeypatch):
@@ -87,8 +112,14 @@ def compiled_payloads(system, workload, params, seeds):
 
 
 def assert_batch_is_compiled(system, workload, params, seeds=(7, 8)):
+    """A batch on the tier, and a default ``simulate()`` of its first
+    seed, against the oracle."""
+    assert params.scheduler == "columnar"
+    oracle = compiled_payloads(system, workload, params, seeds)
     batch = simulate_columnar(system, workload, params, seeds=seeds)
-    assert payloads(batch) == compiled_payloads(system, workload, params, seeds)
+    assert payloads(batch) == oracle
+    solo = simulate(system, workload, replace(params, seed=seeds[0]))
+    assert payloads([solo]) == oracle[:1]
     return batch
 
 
@@ -154,8 +185,10 @@ def test_c_kernel_matches_numpy_path_matrix(
     revocation and none may be revoked), under both flow controls."""
     workload = replace(WORKLOAD, miss_rate=miss_rate)
     params = replace(PARAMS, batch_cycles=200, flow_control=flow_control)
+    solo = simulate(system, workload, params)  # the default route, seed 7
     kernel, fallback = on_both_paths(system, workload, params, monkeypatch)
     assert payloads(kernel) == payloads(fallback)
+    assert payloads([solo]) == payloads(fallback[:1])
 
 
 @needs_kernel
@@ -176,8 +209,10 @@ def test_c_kernel_matches_numpy_path_through_hand_backs(monkeypatch):
 def test_c_kernel_watchdog_matches_numpy_path(topology, flow_control, monkeypatch):
     """Injection-first arbitration deadlocks these rings at the paper's
     load (DESIGN.md §5 'Ablations').  The kernel must raise ``compiled``'s
-    two numbers; a batch stops at the replica that wedges first in
-    simulated time, and the no-kernel route reports the same one."""
+    two numbers — a default ``simulate()``, being a batch of one, its
+    very message; a batch stops at the replica that wedges first in
+    simulated time and names it, and the no-kernel route reports the
+    same one."""
     system = RingSystemConfig(topology=topology, transit_priority=False)
     workload = WorkloadConfig(miss_rate=0.04, outstanding=4)
     params = SimulationParams(
@@ -185,7 +220,6 @@ def test_c_kernel_watchdog_matches_numpy_path(topology, flow_control, monkeypatc
         batches=3,
         deadlock_threshold=2000,
         flow_control=flow_control,
-        scheduler="columnar",
     )
 
     def wedge(run, *args, **kwargs):
@@ -201,14 +235,16 @@ def test_c_kernel_watchdog_matches_numpy_path(topology, flow_control, monkeypatc
     if flow_control == "bypass":
         assert solo[0].cycle == {"8": 3134, "2:8": 2234, "3:8": 2235}[topology]
 
-    alone = wedge(simulate_columnar, params, seeds=(1,))
+    alone = wedge(simulate, params)  # seed 1, on the kernel
     assert (alone.cycle, alone.stalled_cycles) == (solo[0].cycle, 2000)
+    assert str(alone) == str(solo[0])
     batch = wedge(simulate_columnar, params, seeds=(1, 2, 3))
     assert (batch.cycle, batch.stalled_cycles) == (solo[first].cycle, 2000)
     assert f"columnar replica {first} (seed {first + 1})" in str(batch)
 
     monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
     assert str(wedge(simulate_columnar, params, seeds=(1, 2, 3))) == str(batch)
+    assert str(wedge(simulate, params)) == str(solo[0])
 
 
 # ----------------------------------------------------------------------
@@ -318,13 +354,13 @@ def test_columns_are_seeded_like_random_Random(monkeypatch):
     monkeypatch.setattr(columnar, "_stream_keys", lambda seeds, processors: keys)
     system = RingSystemConfig(topology="8", cache_line_bytes=32)
     engine = ColumnarEngine(system, WORKLOAD, PARAMS, seeds=(7,))
-    states = engine._mt.reshape(len(keys), 625)
     for column, key in enumerate(keys):
         rng = random.Random(key)
         gap = 1
         while rng.random() >= WORKLOAD.miss_rate:
             gap += 1
-        assert tuple(states[column].tolist()) == rng.getstate()[1], key
+        state = engine._mt[625 * column : 625 * (column + 1)]
+        assert tuple(state) == rng.getstate()[1], key
         assert engine._countdown[column] == gap
 
 
@@ -332,13 +368,14 @@ def test_columns_are_seeded_like_random_Random(monkeypatch):
 def test_columnar_batch_clears_the_throughput_floor():
     """What the tier is for: at mid load an 8-replica columnar batch
     must move >= 5x the aggregate cycles x replicas per second of a
-    solo ``compiled`` run (and returns its bytes).  Best of three
-    interleaved repeats: noise only slows a run down, and the first
-    columnar call of a process pays one-time set-up."""
+    solo run on the closure engine (the floor was calibrated against
+    ``scheduler="compiled"``, so the solo side pins it) and returns its
+    bytes.  Best of three interleaved repeats: noise only slows a run
+    down, and the first columnar call of a process pays one-time set-up."""
     system = RingSystemConfig(topology="3:8", cache_line_bytes=32)
     workload = WorkloadConfig(miss_rate=0.02, outstanding=4)
-    solo_params = SimulationParams(batch_cycles=600, batches=3, seed=1)
-    batch_params = replace(solo_params, scheduler="columnar", replicas=8)
+    batch_params = SimulationParams(batch_cycles=600, batches=3, seed=1, replicas=8)
+    solo_params = replace(batch_params, scheduler="compiled", replicas=1)
     solo_rates, batch_rates = [], []
     for __ in range(3):
         start = time.perf_counter()
@@ -353,10 +390,83 @@ def test_columnar_batch_clears_the_throughput_floor():
     assert max(batch_rates) >= 5.0 * max(solo_rates)
 
 
-def test_slotted_switching_rejected():
-    slotted = replace(RING, switching="slotted")
-    with pytest.raises(ConfigurationError, match="slotted"):
-        simulate_columnar(slotted, WORKLOAD, PARAMS, seeds=(1,))
+@needs_kernel
+def test_default_simulate_runs_on_the_kernel(kernel_runs):
+    """Positive control for the fallback cells below: nothing in the
+    way, so the default route enters the kernel once per batch."""
+    simulate(RING, WORKLOAD, PARAMS)
+    assert kernel_runs == [PARAMS.batch_cycles] * PARAMS.batches
+
+
+def _trace_players():
+    """Fresh (stateful) replay sources for RING's eight PMs."""
+    selector = RegionTargetSelector.for_ring(8, locality=WORKLOAD.locality)
+    trace = record_mmrp_trace(8, 600, WORKLOAD, selector, seed=9)
+    return trace_miss_sources(trace)
+
+
+@pytest.mark.parametrize(
+    "why", ["slotted", "bursty", "miss-sources", "auditor", "profile", "kernel-off"]
+)
+def test_what_the_kernel_cannot_run_runs_under_compiled(why, kernel_runs, monkeypatch):
+    """The one fallback rule, a cell per condition: a default
+    ``simulate()`` returns the bytes of an explicit ``compiled`` run —
+    nothing is rejected — and never enters the kernel."""
+    system, workload, sources, context = RING, WORKLOAD, lambda: None, nullcontext()
+    observed = None
+    if why == "slotted":
+        system = replace(RING, switching="slotted")
+    elif why == "bursty":
+        workload = replace(WORKLOAD, burst_on=25.0, burst_off=75.0)
+    elif why == "miss-sources":
+        sources = _trace_players
+    elif why == "auditor":
+        observed = audit.Auditor()
+        context = audit.enabled(observed)
+    elif why == "profile":
+        observed = profiling.PhaseProfile()
+        context = profiling.enabled(observed)
+    else:
+        monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
+
+    with context:
+        got = simulate(system, workload, PARAMS, miss_sources=sources())
+    assert kernel_runs == []
+    assert got.params.scheduler == "columnar"
+    oracle = simulate(
+        system, workload, replace(PARAMS, scheduler="compiled"), miss_sources=sources()
+    )
+    assert payloads([got]) == payloads([oracle])
+    # the context got the engine it attaches to (idle cycles are
+    # fast-forwarded, so it sees most of the run, not every cycle)
+    if why == "auditor":
+        assert observed.cycles_audited > PARAMS.total_cycles // 2
+    elif why == "profile":
+        assert list(observed.cycles) == ["compiled"]
+        assert observed.cycles["compiled"] > PARAMS.total_cycles // 2
+
+
+@needs_kernel
+def test_the_engine_refuses_what_it_does_not_model_not_who_is_watching():
+    """Routing around an auditor or profiler is ``simulate_columnar``'s
+    job; ``ColumnarEngine`` itself only refuses a datapath it lacks."""
+    with audit.enabled(audit.Auditor()), profiling.enabled(profiling.PhaseProfile()):
+        engine = ColumnarEngine(RING, WORKLOAD, PARAMS, seeds=(7,))
+    engine.run(50)
+    assert engine.cycle == 50
+    for system, workload in (
+        (replace(RING, switching="slotted"), WORKLOAD),
+        (RING, replace(WORKLOAD, burst_on=25.0, burst_off=75.0)),
+    ):
+        with pytest.raises(ConfigurationError, match="models"):
+            ColumnarEngine(system, workload, PARAMS, seeds=(7,))
+
+
+def test_miss_sources_need_a_batch_of_one():
+    with pytest.raises(ConfigurationError, match="exactly one"):
+        simulate_columnar(
+            RING, WORKLOAD, PARAMS, seeds=(1, 2), miss_sources=_trace_players()
+        )
 
 
 def test_empty_seed_list_rejected():
@@ -364,15 +474,8 @@ def test_empty_seed_list_rejected():
         simulate_columnar(RING, WORKLOAD, PARAMS, seeds=())
 
 
-def test_miss_sources_rejected():
-    """The kernel draws every miss itself; injected MissSource objects
-    cannot be honoured."""
-    with pytest.raises(ConfigurationError, match="miss"):
-        simulate(RING, WORKLOAD, PARAMS, miss_sources=[])
-
-
 def test_simulate_dispatches_columnar():
-    """scheduler="columnar" flows through the ordinary entry points."""
+    """The default scheduler flows through the ordinary entry points."""
     solo = simulate(RING, WORKLOAD, PARAMS)
     assert solo.params.scheduler == "columnar"
     assert solo.flits_moved > 0
@@ -419,13 +522,14 @@ class TestCacheFidelity:
     def test_tagged_legacy_payload_still_selects_columnar(self):
         """Frozen inputs written while the tier was statistical (the
         benchmark's ``columnar_mid`` points) keep meaning "run this on
-        the kernel tier"."""
+        the kernel tier" — which is what an untagged payload means too,
+        now that the tier is the default."""
         tagged = {**params_payload(PARAMS), "fidelity": "statistical"}
         restored = params_from_payload(tagged)
         assert restored.scheduler == "columnar"
         assert restored.batch_cycles == PARAMS.batch_cycles
         assert restored.seed == PARAMS.seed
-        assert params_from_payload(params_payload(PARAMS)).scheduler == "compiled"
+        assert params_from_payload(params_payload(PARAMS)) == restored
 
     def test_replica_batch_fills_the_entries_compiled_reads(self, tmp_path, monkeypatch):
         cache = ResultCache(str(tmp_path))
@@ -449,4 +553,4 @@ class TestCacheFidelity:
         restored = params_from_payload(
             params_payload(replace(PARAMS, scheduler="batched"))
         )
-        assert restored.scheduler == "compiled"
+        assert restored.scheduler == SimulationParams().scheduler == "columnar"

@@ -65,8 +65,8 @@ class TestNextHopRows:
             seeds=(1,),
         )
         rows = ecube_next_hop_rows(MeshShape(side))
-        assert engine._t_route.dtype == "int64"
-        assert engine._t_route.tolist() == [list(row) for row in rows]
+        assert engine._route_flat.typecode == "q"  # int64
+        assert engine._route_flat.tolist() == [hop for row in rows for hop in row]
 
 
 def test_rr_pick_matches_a_modular_scan():

@@ -1,11 +1,18 @@
-"""The import closure of the cached-replay path (DESIGN.md §5).
+"""The import closures of the two common paths (DESIGN.md §5).
 
 ``import repro``, ``import repro.runtime`` and everything a fully cached
 sweep executes must load only the data model and the runtime's own
 modules; the simulator and the process-pool stack load on the first
-*miss*.  These are structural checks on ``sys.modules`` in child
-interpreters — this process imported the engine long ago — not timings.
+*miss*.  And the miss itself — a default ``simulate()``, on the C kernel
+— must load neither numpy nor, once the kernel is cached, anything that
+exists to run a compiler.  These are structural checks on
+``sys.modules`` in child interpreters — this process imported the engine
+long ago — not timings.
 """
+
+import pytest
+
+from repro.core import ckernel
 
 #: What a process that only replays cached results must never load.
 FORBIDDEN = (
@@ -18,6 +25,7 @@ FORBIDDEN = (
     "repro.core.ckernel",
     "repro.ring.network",
     "repro.mesh.network",
+    "ctypes",
     "numpy",
     "multiprocessing",
     "concurrent.futures.process",
@@ -81,13 +89,18 @@ import concurrent.futures.process as pool_module
 
 init = pool_module.ProcessPoolExecutor.__init__
 report["engine_loaded_at_pool_creation"] = []
+report["kernel_bound_at_pool_creation"] = []
 
 def spy(self, *args, **kwargs):
     report["engine_loaded_at_pool_creation"].append("repro.core.engine" in sys.modules)
+    kernel = sys.modules.get("repro.core.ckernel")
+    report["kernel_bound_at_pool_creation"].append(kernel is not None and kernel._lib is not None)
     init(self, *args, **kwargs)
 
 pool_module.ProcessPoolExecutor.__init__ = spy
 report["results"] = len(run_points(uncached, jobs=2, cache=None))
+from repro.core import ckernel
+report["kernel_available"] = ckernel.available()
 finish()
 """
 
@@ -100,6 +113,36 @@ report["status"] = main(
 stage("cli")
 finish()
 """
+
+
+#: One default ``simulate()`` per fabric, then what got imported for it.
+_DEFAULT_SIMULATE = """
+import json, sys
+from repro import MeshSystemConfig, RingSystemConfig, SimulationParams, WorkloadConfig, simulate
+
+params = SimulationParams(batch_cycles=100, batches=2, seed=7)
+for system in (RingSystemConfig(topology="2:4"), MeshSystemConfig(side=2)):
+    simulate(system, WorkloadConfig(miss_rate=0.1), params)
+wanted = ("ctypes", "repro.core.ckernel", "repro.core.columnar")
+unwanted = ("numpy", "subprocess", "tempfile", "shutil", "repro.core.batched")
+print(json.dumps({
+    "scheduler": params.scheduler,
+    "loaded": [name for name in wanted if name in sys.modules],
+    "leaked": [name for name in unwanted if name in sys.modules],
+}))
+"""
+
+
+@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+def test_default_simulate_loads_the_kernel_and_nothing_to_build_it(run_child):
+    """On a warm kernel cache (this process just filled the session's)
+    a fresh interpreter's default run is the stdlib plus one ``dlopen``:
+    no numpy — the columns are ``array`` buffers — and none of the
+    modules ``ckernel`` imports only to run the compiler."""
+    report = run_child(_DEFAULT_SIMULATE)
+    assert report["scheduler"] == "columnar"
+    assert report["loaded"] == ["ctypes", "repro.core.ckernel", "repro.core.columnar"]
+    assert report["leaked"] == []
 
 
 def test_cached_replay_never_loads_the_simulator(run_child, tmp_path):
@@ -120,6 +163,9 @@ def test_pooled_miss_loads_the_simulator_before_the_pool_exists(run_child):
     report = run_child(_POOLED_MISS)
     assert report["results"] == 2
     assert report["engine_loaded_at_pool_creation"] == [True]
+    # ... and the C kernel, where the host has one, already bound: the
+    # forked workers inherit the mapping instead of each building it
+    assert report["kernel_bound_at_pool_creation"] == [report["kernel_available"]]
 
 
 def test_cached_cli_replay_never_loads_the_simulator(run_child, tmp_path):

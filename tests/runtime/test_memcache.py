@@ -28,9 +28,13 @@ class TestMemCache:
         hit = cache.get("k1")
         assert hit is not None
         assert hit[0] == text
-        assert hit[1] is result
+        # Text-only tier: the object is parsed back from the text, so it
+        # is what a disk hit returns, not the instance that was put.
+        assert hit[1] is not result
+        assert canonical_json(result_payload(hit[1])) == text
+        assert cache.get_text("k1") == text
         stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+        assert (stats.hits, stats.misses, stats.entries) == (2, 1, 1)
         assert stats.bytes == len(text.encode("utf-8"))
 
     def test_lru_eviction_order(self, sample):

@@ -5,10 +5,12 @@ import socket
 import statistics
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
+from repro.core.simulation import simulate
 from repro.runtime import MemCache, PointSpec, ResultCache, run_point
 from repro.runtime.serialization import canonical_json, result_payload
 from repro.service import (
@@ -69,11 +71,18 @@ class TestEndpoints:
         assert first == second
 
     def test_served_text_is_byte_identical_to_run_point(self, service):
+        """... and both — the default route, in a pool worker and in
+        this process — to the closure engine's bytes for that point."""
         __, client = service
         payload = _payload(seed=22)
         served, __source = client.run_point(payload)
-        direct = run_point(PointSpec.from_payload(payload), cache=None)
+        spec = PointSpec.from_payload(payload)
+        direct = run_point(spec, cache=None)
         assert served == canonical_json(result_payload(direct))
+        oracle = simulate(
+            spec.system, spec.workload, replace(spec.params, scheduler="compiled")
+        )
+        assert served == canonical_json(result_payload(oracle))
 
     def test_async_client_speaks_the_same_api(self, service):
         """Two requests on one persistent asyncio connection: computed,
@@ -190,14 +199,18 @@ class TestEndpoints:
 class TestWarmPath:
     def test_warm_p50_is_50x_under_cold_p50(self, service):
         """The serving contract: re-requesting a point costs at most a
-        fiftieth of computing it (closed loop, one keep-alive client;
-        measured ~350x)."""
+        fiftieth of computing it (closed loop, one keep-alive client).
+        "Computing it" has to mean simulating, so the point is the
+        paper's 120-node ring for 12,000 cycles: ~80 ms on the C kernel
+        (150-250x a warm reply; the warm side is 0.3-0.9 ms depending on
+        what else the host is doing), where a 12-node, 2,000-cycle point
+        is ~3 ms and mostly request handling on both sides."""
         __, client = service
         payloads = [
             PointSpec(
-                system=RingSystemConfig(topology="2:6", cache_line_bytes=32),
+                system=RingSystemConfig(topology="3:5:8", cache_line_bytes=32),
                 workload=WorkloadConfig(locality=1.0, miss_rate=0.04, outstanding=4),
-                params=SimulationParams(batch_cycles=1000, batches=2, seed=seed),
+                params=SimulationParams(batch_cycles=6000, batches=2, seed=seed),
             ).payload()
             for seed in range(1000, 1006)
         ]
