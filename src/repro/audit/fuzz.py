@@ -36,7 +36,10 @@ configurations instead:
 With ``include_columnar=True`` (CLI ``--include-columnar``) each case
 additionally runs under the ``columnar`` scheduler — the C kernel
 tier — with the sampled materialization audit
-(:mod:`repro.audit.stat_equiv`) hooked in.  The replica at the case's
+(:mod:`repro.audit.stat_equiv`) hooked in.  The tables it runs on (the
+case's topology plan, :mod:`repro.core.plan`) must equal, field by
+field, what a walk of the object network yields
+(:mod:`repro.audit.plan_check`).  The replica at the case's
 seed is held to the same contract as the other four: its canonical
 payload, or its ``DeadlockError``, must equal the baseline's byte for
 byte; materialization invariant violations fail the case outright.
@@ -83,6 +86,7 @@ from ..runtime.serialization import (
     workload_payload,
 )
 from .invariants import AuditError, Auditor
+from .plan_check import plan_problem
 from .runtime import enabled
 
 SCHEDULERS = ("naive", "active", "compiled", "batched")
@@ -292,15 +296,20 @@ def _lifecycle_problem(case: FuzzCase) -> str | None:
 def _columnar_problem(case: FuzzCase, baseline: tuple[str, str]) -> str | None:
     """Kernel run of *case* (one the kernel can run); ``None`` when clean.
 
-    Runs :data:`COLUMNAR_SEEDS` replicas with the sampled
-    materialization audit hooked in every
-    :data:`COLUMNAR_AUDIT_INTERVAL` cycles and compares the replica at
-    the case's seed with *baseline*, the bit-exact schedulers' common
-    ``_run_one`` outcome.
+    First holds the tables the kernel is about to run on — the case's
+    topology plan — to the object network's own wiring
+    (:func:`repro.audit.plan_check.plan_problem`).  Then runs
+    :data:`COLUMNAR_SEEDS` replicas with the sampled materialization
+    audit hooked in every :data:`COLUMNAR_AUDIT_INTERVAL` cycles and
+    compares the replica at the case's seed with *baseline*, the
+    bit-exact schedulers' common ``_run_one`` outcome.
     """
     from ..core.columnar import simulate_columnar
     from .stat_equiv import SamplingAuditor
 
+    mismatch = plan_problem(case.system, case.workload)
+    if mismatch is not None:
+        return f"topology plan: {mismatch}"
     params = replace(case.params, scheduler="columnar")
 
     def outcome(replicas: int) -> tuple[str, str]:

@@ -26,12 +26,17 @@ A replica's result therefore serializes to the same bytes as a solo
 ``compiled`` run of its seed — ``tests/integration/test_columnar.py``
 holds the kernel to that over fabrics, loads, flow controls, patterns
 and seeds — so columnar results are ordinary canonical cache entries.
-This module builds the columns (one replica's tables in Python, tiled
-across the batch by the kernel's ``tile_offset`` / ``ring_routes``),
-hands them to the kernel and turns its tallies into
-:class:`SimulationResult` s; the audit tier
-(:mod:`repro.audit.stat_equiv`) can materialize a replica's columns back
-into object form at sampled cycles.
+This module builds the columns from the point's topology plan
+(:func:`repro.core.plan.topology_plan`: one replica's tables, computed
+from the spec without building an object network, tiled across the
+batch by the kernel's ``tile_offset`` / ``ring_routes``), hands them to
+the kernel and turns its tallies into :class:`SimulationResult` s; the
+audit tier can materialize a replica's columns back into object form at
+sampled cycles (:mod:`repro.audit.stat_equiv`) and holds the network
+walk the plan replaced as its oracle (:mod:`repro.audit.plan_check`).
+Nothing on this route imports the object model — the engine, the PMs,
+the flit buffers, the ring / mesh components; they load when a point
+takes the fallback below.
 
 **The one fallback rule** (:func:`kernel_can_run`): whatever the kernel
 cannot run, :func:`simulate_columnar` runs seed by seed under
@@ -66,16 +71,14 @@ from .config import (
     WorkloadConfig,
 )
 from .errors import ConfigurationError, DeadlockError
-from .pm import MetricsHub
-from .processor import LOOKAHEAD_CHUNK, MissGenerator
-from .statistics import RateMeter
+from .plan import SINK_CAP, topology_plan
+from .processor import LOOKAHEAD_CHUNK
+from .statistics import MetricsHub, RateMeter
 
 if TYPE_CHECKING:
     from .processor import MissSource
     from .simulation import SimulationResult, SystemConfig
 
-#: Effectively-unbounded capacity for ejection sinks and the sentinel.
-_SINK_CAP = 1 << 30
 #: Words of one MT19937 column: the 624-word state and its read index.
 _MT_STATE = 625
 #: Initial rows of the (growable) packet table.
@@ -178,222 +181,24 @@ class ColumnarEngine:
         self.hook_interval = 0
 
         # ---- replica-independent topology tables (local ids) ----
-        self._extract_topology()
+        plan = self.plan = topology_plan(system, workload)
+        self.kind = plan.kind
+        self.processors = plan.processors
+        self.levels = plan.levels
+        self.opportunities_per_cycle = plan.opportunities_per_cycle
+        #: Per-replica buffer names, for diagnostics and materialization.
+        self.buffer_names = plan.buffer_names
+        self.buffers_per_replica = len(plan.buffer_names)
+        self.ports_per_replica = len(plan.port_names)
+        self.iri_contracts = plan.iri_contracts
+        self._t_caps = plan.caps
+        self._t_port_names = plan.port_names
+        self._routers_per_replica = plan.routers
+        self._route_flat = plan.route_flat
         # ---- tile across replicas + allocate dynamic state ----
         self._build_state()
         # ---- pointer/param tables; seed and prime the miss streams ----
         self._k_init()
-
-    # ------------------------------------------------------------------
-    # topology extraction: walk one object network, emit flat tables
-    # ------------------------------------------------------------------
-    def _extract_topology(self) -> None:
-        from .simulation import build_network
-
-        network = build_network(self.system, self.workload, MetricsHub(), seed=0)
-        self.processors = len(network.pms)
-        self.levels: list[str] = list(network.levels_present)
-        self.opportunities_per_cycle: dict[str, float] = {
-            level: network.opportunities(1, level) for level in self.levels
-        }
-
-        geometry = self.system.geometry
-        self._hdr_size = geometry.header_flits
-        self._cl_size = geometry.cl_packet_flits
-
-        names: list[str] = []
-        caps: list[int] = []
-        sink_pm: list[int] = []
-        index: dict[int, int] = {}
-
-        def add(buf: object, cap: int | None, pm: int = -1) -> int:
-            idx = len(names)
-            index[id(buf)] = idx
-            names.append(getattr(buf, "name", f"buf{idx}"))
-            caps.append(_SINK_CAP if cap is None else int(cap))
-            sink_pm.append(pm)
-            return idx
-
-        for pm_obj in network.pms:
-            add(pm_obj.in_queue, None, pm_obj.pm_id)
-            add(pm_obj.out_resp, pm_obj.out_resp.capacity)
-            add(pm_obj.out_req, pm_obj.out_req.capacity)
-
-        #: ``(buffer, lo, hi, inside, is_resp)`` routing contracts of the
-        #: IRI change queues, for the materialization audit.
-        self.iri_contracts: list[tuple[int, int, int, bool, bool]] = []
-
-        from ..ring.network import HierarchicalRingNetwork
-
-        if isinstance(network, HierarchicalRingNetwork):
-            self.kind = "ring"
-            for nic in network.nics:
-                add(nic.transit_buffer, nic.transit_buffer.capacity)
-            for iri in network.iris.values():
-                for buf in iri.buffers:
-                    add(buf, buf.capacity)
-                lo, hi = iri.subtree_range
-                self.iri_contracts += [
-                    (index[id(iri.up_req)], lo, hi, False, False),
-                    (index[id(iri.up_resp)], lo, hi, False, True),
-                    (index[id(iri.down_req)], lo, hi, True, False),
-                    (index[id(iri.down_resp)], lo, hi, True, True),
-                ]
-            self._extract_ring_ports(network, index)
-        else:
-            self.kind = "mesh"
-            for router in network.routers:
-                for direction in ("N", "E", "S", "W"):
-                    buf = router.input_buffers[direction]
-                    add(buf, buf.capacity)
-            self._extract_mesh_ports(network, index)
-
-        #: Per-replica buffer names, for diagnostics and materialization.
-        self.buffer_names = names
-        self._t_caps = caps
-        self._t_sink_pm = sink_pm
-        self.buffers_per_replica = len(names)
-        self._t_out_resp = [index[id(pm.out_resp)] for pm in network.pms]
-        self._t_out_req = [index[id(pm.out_req)] for pm in network.pms]
-        # The kernel draws targets from the selector the PMs were built
-        # with: same pools in the same order, by construction (a
-        # target's multiplicity is its weight, so hotspot is exact).
-        # Row = (offset, length, getrandbits width of ``_randbelow``);
-        # width 0 means "no draw".  The two selectors differ on a lone
-        # target: RegionTargetSelector (M-MRP) still calls randrange,
-        # PatternTargetSelector returns it without touching the stream.
-        from ..workload.mmrp import RegionTargetSelector
-        from ..workload.patterns import PatternTargetSelector
-
-        generator = network.pms[0].generator
-        assert isinstance(generator, MissGenerator)
-        selector = generator._select
-        if isinstance(selector, RegionTargetSelector):
-            pools, lone_bits = selector.regions, 1
-        else:
-            assert isinstance(selector, PatternTargetSelector)
-            pools, lone_bits = selector.pools, 0
-        flat: list[int] = []
-        offsets: dict[tuple[int, ...], int] = {}
-        rows: list[int] = []
-        for pool in pools:
-            offset = offsets.setdefault(tuple(pool), len(flat))
-            if offset == len(flat):
-                flat.extend(pool)
-            n = len(pool)
-            bits = lone_bits if n == 1 else n.bit_length()
-            if bits > 32:
-                raise ConfigurationError("target pools are limited to 2**32 - 1 entries")
-            rows += (offset, n, bits)
-        self._pool = array("q", flat)
-        self._pool_row = array("q", rows)
-        self._mem_lat = int(network.pms[0].memory.latency)
-
-    def _extract_ring_ports(
-        self, network: object, index: dict[int, int]
-    ) -> None:
-        from ..ring.iri import InterRingInterface
-        from ..ring.network import HierarchicalRingNetwork
-        from ..ring.nic import RingNIC
-
-        assert isinstance(network, HierarchicalRingNetwork)
-        ports = list(network.nics) + [
-            p
-            for iri in network.iris.values()
-            for p in (iri.lower_port, iri.upper_port)
-        ]
-        owner: dict[int, tuple[str, InterRingInterface]] = {}
-        for iri in network.iris.values():
-            owner[id(iri.lower_port)] = ("lower", iri)
-            owner[id(iri.upper_port)] = ("upper", iri)
-
-        #: per send priority, each port's source buffer (-1: none)
-        srcs: list[list[int]] = [[-1] * len(ports) for _ in range(3)]
-        #: six words per port, ``ckernel``'s ``ring_routes`` input: the pm
-        #: range behind the downstream port, then the buffer a (request,
-        #: response) takes inside that range and outside it
-        routes: list[int] = []
-        fast: list[int] = []
-        lvl: list[int] = []
-
-        for u, port in enumerate(ports):
-            for j, buf in enumerate(port.sources_by_priority):
-                srcs[j][u] = index[id(buf)]
-            fast.append(port.speed == 2)
-            assert port.out_channel is not None and port.downstream is not None
-            lvl.append(self.levels.index(port.out_channel.klass))
-            dp = port.downstream
-            if isinstance(dp, RingNIC):
-                lo, hi = dp._pm_id, dp._pm_id + 1
-                din_q = din_r = index[id(dp._pm_in_queue)]
-                dout_q = dout_r = index[id(dp.transit_buffer)]
-            else:
-                side, iri = owner[id(dp)]
-                lo, hi = iri.subtree_range
-                if side == "lower":
-                    din_q = din_r = index[id(dp.transit_buffer)]
-                    dout_q, dout_r = index[id(iri.up_req)], index[id(iri.up_resp)]
-                else:
-                    din_q, din_r = index[id(iri.down_req)], index[id(iri.down_resp)]
-                    dout_q = dout_r = index[id(dp.transit_buffer)]
-            routes += (lo, hi, din_q, din_r, dout_q, dout_r)
-
-        self.ports_per_replica = len(ports)
-        self._t_port_names = [p.name for p in ports]
-        self._t_srcs = srcs
-        self._t_routes = routes
-        self._t_fast = fast
-        self._t_lvl = lvl
-        self._subcycles = 2 if any(fast) else 1
-
-    def _extract_mesh_ports(self, network: object, index: dict[int, int]) -> None:
-        from ..mesh.network import MeshNetwork
-        from ..mesh.router import OUTPUT_ORDER
-        from ..mesh.routing import ecube_next_hop_rows
-
-        assert isinstance(network, MeshNetwork)
-        routers = network.routers
-
-        # Router-input table: 5 columns per router (N,E,S,W,LOCAL); the
-        # LOCAL entry is a placeholder, resolved per cycle from the
-        # router's two local queues.
-        in_buf: list[int] = []
-        lq_resp: list[int] = []
-        lq_req: list[int] = []
-        for router in routers:
-            lq_resp.append(index[id(router._local_queues[0])])
-            lq_req.append(index[id(router._local_queues[1])])
-            in_buf += [index[id(router.input_buffers[d])] for d in ("N", "E", "S", "W")]
-            in_buf.append(lq_resp[-1])
-
-        # Ports: every *connected* (router, output) pair.
-        m_router: list[int] = []
-        m_dir: list[int] = []
-        m_dst: list[int] = []
-        m_chan: list[bool] = []
-        port_names: list[str] = []
-        for v, router in enumerate(routers):
-            for out_key in router.connected_outputs:
-                m_router.append(v)
-                m_dir.append(OUTPUT_ORDER.index(out_key))
-                m_dst.append(index[id(router._out_dest[out_key])])
-                m_chan.append(router._out_channel[out_key] is not None)
-                port_names.append(f"{router.name}.{out_key}")
-
-        self.ports_per_replica = len(m_router)
-        self._t_port_names = port_names
-        self._t_m_router = m_router
-        self._t_m_dir = m_dir
-        self._t_m_dst = m_dst
-        self._t_m_chan = m_chan
-        self._t_in_buf = in_buf
-        self._t_lq_resp, self._t_lq_req = lq_resp, lq_req
-        # The compiled routers' cached next-hop rows (one byte per
-        # (node, destination), an index into the shared port order),
-        # widened to the columns' width; replicas share the one table.
-        self._route_flat = array("q", list(b"".join(ecube_next_hop_rows(network.shape))))
-        self._routers_per_replica = len(routers)
-        self._subcycles = 1
 
     # ------------------------------------------------------------------
     # replica-tiled dynamic state
@@ -415,6 +220,7 @@ class ColumnarEngine:
         return self._tiled(column, self.buffers_per_replica, self._sent)
 
     def _build_state(self) -> None:
+        plan = self.plan
         R = self.replicas
         B = self.buffers_per_replica
         P = self.processors
@@ -422,17 +228,17 @@ class ColumnarEngine:
         NB = R * B
         self._sent = NB  # sentinel buffer: occupancy pinned to 0
 
-        capm = _pow2(max(cap for cap in self._t_caps if cap < _SINK_CAP))
+        capm = _pow2(max(cap for cap in plan.caps if cap < SINK_CAP))
         self._smask = capm - 1
         self._blog = capm.bit_length() - 1
         self._occ = _ints(NB + 1)
         self._head = _ints(NB + 1)
         self._slots = _ints((NB + 1) * capm)
-        self._cap = array("q", self._t_caps) * R
-        self._cap.append(_SINK_CAP)
-        self._is_sink = array("B", [pm >= 0 for pm in self._t_sink_pm]) * R
+        self._cap = array("q", plan.caps) * R
+        self._cap.append(SINK_CAP)
+        self._is_sink = array("B", [pm >= 0 for pm in plan.sink_pm]) * R
         self._is_sink.append(0)
-        self._sink_pm = self._tiled(self._t_sink_pm, P)
+        self._sink_pm = self._tiled(plan.sink_pm, P)
         self._sink_pm.append(-1)
 
         U = self.ports_per_replica
@@ -446,31 +252,31 @@ class ColumnarEngine:
         if self.kind == "ring":
             # (3, NU): the j-th priority source of every port
             self._psrc3 = array("q")
-            for column in self._t_srcs:
+            for column in plan.srcs:
                 self._psrc3 += self._tiled_buffers(column)
             # Flat routing table: port x (2*dest + is_resp) -> output
             # buffer.  One gather replaces the classifier compare/where
             # chain in the propose hot path.
             self._rt_tbl = _ints(NU * P * 2)
-            routes = array("q", self._t_routes)
+            routes = array("q", plan.routes)
             self._kernel.ring_routes(_addr(self._rt_tbl), _addr(routes), U, P, R, B)
-            self._fast = array("B", self._t_fast) * R
-            self._lvl_of = self._tiled(self._t_lvl, L)
+            self._fast = array("B", plan.fast) * R
+            self._lvl_of = self._tiled(plan.lvl, L)
         else:
             V = self._routers_per_replica
-            self._m_dst = self._tiled_buffers(self._t_m_dst)
-            self._m_dir = array("q", self._t_m_dir) * R
-            self._m_router5 = self._tiled([5 * v for v in self._t_m_router], 5 * V)
-            self._in_buf = self._tiled_buffers(self._t_in_buf)
-            self._lq_resp = self._tiled_buffers(self._t_lq_resp)
-            self._lq_req = self._tiled_buffers(self._t_lq_req)
+            self._m_dst = self._tiled_buffers(plan.m_dst)
+            self._m_dir = array("q", plan.m_dir) * R
+            self._m_router5 = self._tiled([5 * v for v in plan.m_router], 5 * V)
+            self._in_buf = self._tiled_buffers(plan.in_buf)
+            self._lq_resp = self._tiled_buffers(plan.lq_resp)
+            self._lq_req = self._tiled_buffers(plan.lq_req)
             NI = R * V * 5
             self._claimed = _ints(NI, code="B")
             self._rr = _ints(NU)
             self._lock = _ints(NU, -1)
             # ejection ports carry no channel: tallied in a spare slot
             self._lvl_of = self._tiled(
-                [0 if chan else -1 for chan in self._t_m_chan], L, none=R * L
+                [0 if chan else -1 for chan in plan.m_chan], L, none=R * L
             )
             # Per (router, direction) the mask of inputs whose head
             # requests it, per router input the buffer that head would
@@ -528,9 +334,9 @@ class ColumnarEngine:
         self._stg_cnt = _ints(2 * NP_)
         self._stg_q = array("q")
         self._stg_qcap = array("q")
-        for queues in (self._t_out_resp, self._t_out_req):
+        for queues in (plan.out_resp, plan.out_req):
             self._stg_q += self._tiled_buffers(queues)
-            self._stg_qcap += array("q", [self._t_caps[q] for q in queues]) * R
+            self._stg_qcap += array("q", [plan.caps[q] for q in queues]) * R
 
         # Packet table (flat, growable; row 0 is a reserved dummy).
         self._pkt_dest = _ints(_PKT_ROWS)
@@ -558,7 +364,7 @@ class ColumnarEngine:
         self._k_work = _ints(2 * NU)
         # Packets completed this cycle as (pm, packet) pairs: a PM
         # ejects at most one flit per subcycle.
-        self._k_comp = _ints(2 * self._subcycles * NP_)
+        self._k_comp = _ints(2 * plan.subcycles * NP_)
 
         # Statistics: batch-scoped latency tallies + cumulative counters.
         self._rem_sum = _floats(R)
@@ -608,15 +414,15 @@ class ColumnarEngine:
         prm[PRM.NB] = self.replicas * self.buffers_per_replica
         prm[PRM.NU] = len(self._mid)
         prm[PRM.NPM] = self._np_
-        prm[PRM.V] = getattr(self, "_routers_per_replica", 0)
+        prm[PRM.V] = self._routers_per_replica
         prm[PRM.SENT] = self._sent
         prm[PRM.SMASK] = self._smask
         prm[PRM.BLOG] = self._blog
-        prm[PRM.SUBC] = self._subcycles
-        prm[PRM.MEM_LAT] = self._mem_lat
+        prm[PRM.SUBC] = self.plan.subcycles
+        prm[PRM.MEM_LAT] = self.plan.memory_latency
         prm[PRM.T_LIMIT] = self._t_limit
-        prm[PRM.HDR] = self._hdr_size
-        prm[PRM.CL] = self._cl_size
+        prm[PRM.HDR] = self.plan.header_flits
+        prm[PRM.CL] = self.plan.cl_flits
         prm[PRM.BYPASS] = int(self._bypass)
         prm[PRM.THRESHOLD] = self._threshold
         prm[PRM.STGCAP] = self._stgcap
@@ -676,8 +482,8 @@ class ColumnarEngine:
             self._draw_more,
             self._mt,
             self._mt_key,
-            self._pool,
-            self._pool_row,
+            self.plan.pool,
+            self.plan.pool_row,
             self._draw_p,
             self._pkt_dest,
             self._pkt_src,

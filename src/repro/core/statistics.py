@@ -271,3 +271,31 @@ class LatencyStats:
             self._open_min = math.inf
             self._open_max = -math.inf
         return mean
+
+
+class MetricsHub:
+    """Shared collectors for all processing modules of one simulation."""
+
+    def __init__(self) -> None:
+        self.remote_latency = LatencyStats()
+        self.local_latency = LatencyStats()
+        self.remote_issued = 0
+        self.remote_completed = 0
+        self.local_issued = 0
+        self.local_completed = 0
+        self.reads_issued = 0
+        self.writes_issued = 0
+
+    def record_remote(self, latency: int) -> None:
+        self.remote_latency.record(latency)
+        self.remote_completed += 1
+
+    def record_local(self, latency: int) -> None:
+        self.local_latency.record(latency)
+        self.local_completed += 1
+
+    def close_batch(self) -> None:
+        # Via LatencyStats.close_batch so the min/max extremes shed the
+        # discarded warm-up batch along with the batch means.
+        self.remote_latency.close_batch()
+        self.local_latency.close_batch()

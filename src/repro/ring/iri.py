@@ -59,12 +59,7 @@ class InterRingInterface:
         # contiguous id range [lo, hi) — an O(1) classification test,
         # where spec.in_subtree would re-derive the mixed-radix address
         # of every head flit's destination.
-        subtree_size = 1
-        for radix in spec.branching[len(child_prefix):]:
-            subtree_size *= radix
-        pad = (0,) * (spec.levels - len(child_prefix))
-        self._subtree_lo = spec.pm_id_of(child_prefix + pad)
-        self._subtree_hi = self._subtree_lo + subtree_size
+        self._subtree_lo, self._subtree_hi = spec.subtree_range(child_prefix)
 
         self.up_req = FlitBuffer(f"{name}.up_req", capacity=buffer_flits)
         self.up_resp = FlitBuffer(f"{name}.up_resp", capacity=buffer_flits)

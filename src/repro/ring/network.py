@@ -33,16 +33,7 @@ from ..workload.patterns import TargetSpace, build_target_selector
 from .iri import InterRingInterface
 from .nic import RingNIC
 from .port import RingPort
-from .topology import HierarchySpec
-
-
-def level_name(depth: int, levels: int) -> str:
-    """Utilization grouping for a ring at *depth* in an *levels*-deep tree."""
-    if levels == 1 or depth == levels - 1:
-        return "local"
-    if depth == 0:
-        return "global"
-    return "intermediate"
+from .topology import HierarchySpec, level_name, ring_members, ring_speed
 
 
 class HierarchicalRingNetwork:
@@ -97,9 +88,7 @@ class HierarchicalRingNetwork:
 
     # ------------------------------------------------------------------
     def _ring_speed(self, depth: int) -> int:
-        if depth == 0 and self.spec.levels > 1:
-            return self.config.global_ring_speed
-        return 1
+        return ring_speed(depth, self.spec.levels, self.config.global_ring_speed)
 
     def _build(self) -> None:
         spec = self.spec
@@ -158,18 +147,14 @@ class HierarchicalRingNetwork:
                     )
 
     def _ring_members(self, prefix: tuple[int, ...]) -> list[RingPort]:
-        spec = self.spec
-        depth = len(prefix)
         members: list[RingPort] = []
-        if depth > 0:
-            members.append(self.iris[prefix].lower_port)
-        if depth == spec.levels - 1:
-            for slot in range(spec.branching[depth]):
-                pm_id = spec.pm_id_of(prefix + (slot,))
-                members.append(self.nics[pm_id])
-        else:
-            for child in range(spec.branching[depth]):
-                members.append(self.iris[prefix + (child,)].upper_port)
+        for role, where in ring_members(self.spec, prefix):
+            if isinstance(where, int):
+                members.append(self.nics[where])
+            elif role == "lower":
+                members.append(self.iris[where].lower_port)
+            else:
+                members.append(self.iris[where].upper_port)
         return members
 
     # ------------------------------------------------------------------

@@ -136,6 +136,19 @@ class HierarchySpec:
     def local_ring_of(self, pm_id: int) -> tuple[int, ...]:
         return self.address_of(pm_id)[:-1]
 
+    def subtree_range(self, ring_prefix: tuple[int, ...]) -> tuple[int, int]:
+        """Half-open PM-id range ``[lo, hi)`` below the ring *ring_prefix*.
+
+        PM ids are assigned depth-first, so a subtree is a contiguous
+        id range — the O(1) test every inter-ring interface routes by.
+        """
+        size = 1
+        for radix in self.branching[len(ring_prefix):]:
+            size *= radix
+        pad = (0,) * (self.levels - len(ring_prefix))
+        lo = self.pm_id_of(ring_prefix + pad)
+        return lo, lo + size
+
     def in_subtree(self, pm_id: int, ring_prefix: tuple[int, ...]) -> bool:
         """Whether *pm_id* lives below the ring identified by *ring_prefix*."""
         return self.address_of(pm_id)[: len(ring_prefix)] == ring_prefix
@@ -150,6 +163,51 @@ class HierarchySpec:
 
     def __str__(self) -> str:
         return format_hierarchy(self.branching)
+
+
+# ----------------------------------------------------------------------
+# wiring rules — read by the object network (ring/network.py) and by the
+# kernel tier's table emitter (core/plan.py), so they are written once
+# ----------------------------------------------------------------------
+def level_name(depth: int, levels: int) -> str:
+    """Utilization grouping for a ring at *depth* in an *levels*-deep tree."""
+    if levels == 1 or depth == levels - 1:
+        return "local"
+    if depth == 0:
+        return "global"
+    return "intermediate"
+
+
+def ring_speed(depth: int, levels: int, global_ring_speed: int) -> int:
+    """Clock multiple of a ring at *depth*: only the global ring of a
+    multi-level hierarchy ever runs fast (Section 6)."""
+    if depth == 0 and levels > 1:
+        return global_ring_speed
+    return 1
+
+
+#: One position on a ring, in flow order: ``("lower", prefix)`` is the
+#: child-ring side of the IRI joining ring *prefix* to its parent,
+#: ``("upper", prefix)`` that IRI's parent-ring side, ``("nic", pm_id)``
+#: a processing module's interface.
+RingMember = tuple[str, "tuple[int, ...] | int"]
+
+
+def ring_members(spec: HierarchySpec, prefix: tuple[int, ...]) -> list[RingMember]:
+    """Membership (flow) order of the ring *prefix*: the IRI to the
+    parent ring first (absent at the root), then the children in index
+    order — child rings' IRI upper ports on inner rings, PM NICs on
+    local rings."""
+    depth = len(prefix)
+    members: list[RingMember] = []
+    if depth > 0:
+        members.append(("lower", prefix))
+    if depth == spec.levels - 1:
+        first = spec.subtree_range(prefix)[0]
+        members += [("nic", first + slot) for slot in range(spec.branching[depth])]
+    else:
+        members += [("upper", prefix + (child,)) for child in range(spec.branching[depth])]
+    return members
 
 
 # ----------------------------------------------------------------------

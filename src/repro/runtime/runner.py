@@ -160,8 +160,8 @@ def cache_store(
     return text
 
 
-def _load_simulator() -> None:
-    """Import the engine stack into this process, ahead of a fork.
+def _load_simulator(specs: "Iterable[PointSpec]" = ()) -> None:
+    """Import what *specs* will run on into this process, ahead of a fork.
 
     Nothing this module imports at top level loads the simulator: a
     sweep served entirely from the cache tiers never pays for it, and
@@ -171,26 +171,39 @@ def _load_simulator() -> None:
     cache is still empty this is where the one compile happens, instead
     of every worker racing its own — rather than each loading them
     inside its first point.
-    """
-    from ..core import ckernel, columnar, engine, pm  # noqa: F401
 
-    ckernel.load()
+    That is the kernel tier (``ckernel``, ``columnar`` and with it the
+    topology plan) always, and the object model — the engine stack —
+    only where a point will step it: no loadable kernel on this host, a
+    scheduler other than the default, or a point the kernel does not
+    model (slotted switching, bursty injection).  A caller that cannot
+    know its points (the service) passes none and lets the worker that
+    first meets such a point import the engine.
+    """
+    from ..core import ckernel, columnar
+
+    if ckernel.load() is None or any(
+        spec.params.scheduler != "columnar"
+        or not columnar._kernel_models(spec.system, spec.workload)
+        for spec in specs
+    ):
+        from ..core import engine, pm  # noqa: F401
 
 
 def _pool(workers: int, cache: ResultCache | None) -> ProcessPoolExecutor:
-    """A worker pool whose workers inherit the simulator and code salt.
+    """A worker pool whose workers inherit the code salt.
 
     Only misses reach this, so the process-pool stack
     (``multiprocessing`` and friends) is imported here, not at module
-    level.  ``code_version_salt()`` is memoized *per process*, so
-    without priming every worker would re-read the whole package's
-    ``.py`` files on its first cache touch; the initializer threads the
-    salt the parent already computed (or the active cache's pinned
-    salt) into each worker before it runs anything.
+    level — and after :func:`_load_simulator`, which every caller runs
+    first: compiling the engine once the pool stack is loaded leaves
+    this process's peak RSS ~1.3 MB higher.  ``code_version_salt()`` is
+    memoized *per process*, so without priming every worker would
+    re-read the whole package's ``.py`` files on its first cache touch;
+    the initializer threads the salt the parent already computed (or
+    the active cache's pinned salt) into each worker before it runs
+    anything.
     """
-    # Simulator first: compiling the engine after the pool stack is
-    # loaded leaves this process's peak RSS ~1.3 MB higher.
-    _load_simulator()
     from concurrent.futures import ProcessPoolExecutor
 
     salt = cache.salt if cache is not None else None
@@ -303,6 +316,7 @@ def run_replica_batch(
             tuple(missing[start : start + bound])
             for start in range(0, len(missing), bound)
         ]
+        _load_simulator([spec])
         from concurrent.futures import as_completed
 
         with _pool(len(chunks), active_cache) as pool:
@@ -383,6 +397,7 @@ def run_points(
         for index in pending:
             _record(index, _execute(specs[index]))
     elif pending:
+        _load_simulator(specs[i] for i in pending)
         from concurrent.futures import as_completed
 
         # Longest-expected-first: a big point submitted last would run

@@ -20,14 +20,18 @@ Served results are byte-identical to a direct
 ``svc_cold`` / ``svc_warm`` workloads of ``python -m bench.run``.
 """
 
-# The service process exists to simulate, so it loads the simulator —
-# the engine stack and the C kernel (compiled here, once, on a host
-# whose kernel cache is still empty) — first thing: every pool it ever
-# forks inherits the loaded modules and the kernel's mapping
-# (``warm_up`` then leaves nothing for a first request to import), and
-# importing the engine ahead of asyncio and the HTTP stack, as ``import
-# repro`` used to, keeps the process's peak RSS where it was (DESIGN.md
-# §5, "Import closure").
+# The service process exists to simulate, so it loads what a served
+# point runs on — the kernel tier: the column driver, the topology plan
+# and the C kernel (compiled here, once, on a host whose kernel cache is
+# still empty) — first thing: every pool it ever forks inherits the
+# loaded modules and the kernel's mapping (``warm_up`` then leaves
+# nothing for a first request to import).  It cannot know whether a
+# request will ever need the object model (a slotted or bursty point,
+# an explicit scheduler), so the engine stack is not loaded here: the
+# worker that first meets such a point imports it.  Only a host without
+# a loadable kernel loads the engine up front — ahead of asyncio and
+# the HTTP stack, which keeps the process's peak RSS where it was
+# (DESIGN.md §5, "Import closure").
 from ..runtime.runner import _load_simulator
 
 _load_simulator()

@@ -9,7 +9,7 @@ identical requests can never fan the same simulation across pools.
 Every pool worker is initialized with the parent's precomputed
 code-version salt (:func:`repro.runtime.prime_code_version_salt`), so
 workers never re-hash the whole package's sources, and every pool forks
-from a process that already holds the simulator (the package loads it
+from a process that already holds the kernel tier (the package loads it
 on import, see ``__init__.py``), so workers inherit it rather than
 importing it inside their first point.
 """
@@ -68,7 +68,7 @@ class ShardedPools:
 
     def warm_up(self) -> None:
         """Spawn every worker now so first requests don't pay fork cost
-        (nor the simulator's import: the workers inherit it)."""
+        (nor the kernel tier's import: the workers inherit it)."""
         waits = []
         for pool in self._pools:
             waits.extend(pool.submit(_warm) for __ in range(self.workers_per_shard))

@@ -51,6 +51,10 @@ def mesh_region(pm_id: int, side: int, locality: float) -> list[int]:
         raise ValueError(f"locality must be in (0, 1], got {locality}")
     processors = side * side
     remote_count = max(0, math.ceil(locality * processors) - 1)
+    if remote_count >= processors - 1:
+        # the whole machine (R = 1.0, the paper's main workload): no
+        # need to rank P - 1 candidates to keep all of them
+        return list(range(processors))
     x0, y0 = pm_id % side, pm_id // side
     others = sorted(
         (pm for pm in range(processors) if pm != pm_id),

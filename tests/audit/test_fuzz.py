@@ -166,6 +166,40 @@ def test_kernel_pass_skips_what_the_kernel_cannot_run(monkeypatch):
     assert not off.failed and not off.kernel_compared
 
 
+def test_kernel_pass_holds_the_plan_to_the_network_walk(monkeypatch):
+    """Every case compared with the kernel first has its topology plan
+    — the tables the kernel is about to run on — held to a walk of the
+    object network; a plan that mis-wires fails the case by name."""
+    from repro.audit import fuzz as fuzz_module
+    from repro.audit.plan_check import plan_problem
+    from repro.core import ckernel
+    from repro.ring.topology import ring_members
+
+    if not ckernel.available():
+        pytest.skip("no C kernel on this host")
+    checked = []
+
+    def spy(system, workload):
+        checked.append(system)
+        return plan_problem(system, workload)
+
+    monkeypatch.setattr(fuzz_module, "plan_problem", spy)
+    case = _kernel_case("wormhole")
+    assert not run_case(case, include_columnar=True).failed
+    assert checked == [case.system]
+    run_case(_kernel_case("slotted"), include_columnar=True)
+    assert checked == [case.system]  # no kernel run, no tables to vet
+
+    # the plan sends every ring round the other way
+    monkeypatch.setattr(
+        "repro.core.plan.ring_members",
+        lambda spec, prefix: ring_members(spec, prefix)[::-1],
+    )
+    broken = run_case(case, include_columnar=True)
+    assert broken.kind == "columnar" and broken.kernel_compared
+    assert broken.detail.startswith("topology plan: plan.routes differs")
+
+
 def test_kernel_comparison_that_never_sampled_is_a_failure():
     """The materialization audit rides on ``cycle_hook``, which a run
     that fell back to ``compiled`` never calls: a comparison whose run

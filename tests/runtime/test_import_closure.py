@@ -98,7 +98,12 @@ def spy(self, *args, **kwargs):
     init(self, *args, **kwargs)
 
 pool_module.ProcessPoolExecutor.__init__ = spy
-report["results"] = len(run_points(uncached, jobs=2, cache=None))
+# the all-kernel list first: the mixed one leaves the engine loaded
+slotted = point(RingSystemConfig(topology="4", switching="slotted"))
+report["results"] = [
+    len(run_points(points, jobs=2, cache=None))
+    for points in (uncached, [uncached[0], slotted])
+]
 from repro.core import ckernel
 report["kernel_available"] = ckernel.available()
 finish()
@@ -123,13 +128,63 @@ from repro import MeshSystemConfig, RingSystemConfig, SimulationParams, Workload
 params = SimulationParams(batch_cycles=100, batches=2, seed=7)
 for system in (RingSystemConfig(topology="2:4"), MeshSystemConfig(side=2)):
     simulate(system, WorkloadConfig(miss_rate=0.1), params)
-wanted = ("ctypes", "repro.core.ckernel", "repro.core.columnar")
-unwanted = ("numpy", "subprocess", "tempfile", "shutil", "repro.core.batched")
-print(json.dumps({
+wanted = ("ctypes", "repro.core.ckernel", "repro.core.columnar", "repro.core.plan")
+unwanted = ("numpy", "subprocess", "tempfile", "shutil", "repro.core.batched") + OBJECT_MODEL
+report = {
     "scheduler": params.scheduler,
     "loaded": [name for name in wanted if name in sys.modules],
     "leaked": [name for name in unwanted if name in sys.modules],
-}))
+}
+
+# ... and a point the kernel does not model loads the object model then
+from repro.runtime.serialization import canonical_json, result_payload
+
+def slotted(params):
+    system = RingSystemConfig(topology="2:4", switching="slotted")
+    return canonical_json(result_payload(simulate(system, WorkloadConfig(miss_rate=0.1), params)))
+
+default = slotted(params)
+report["slotted_loaded"] = [name for name in OBJECT_MODEL if name in sys.modules]
+from dataclasses import replace
+report["slotted_is_compiled"] = default == slotted(replace(params, scheduler="compiled"))
+print(json.dumps(report))
+"""
+
+#: The object model: everything a default run used to build, walk for
+#: its ids and wiring, and throw away.
+OBJECT_MODEL = (
+    "repro.core.engine",
+    "repro.core.pm",
+    "repro.core.buffers",
+    "repro.ring.port",
+    "repro.ring.iri",
+    "repro.ring.nic",
+    "repro.ring.network",
+    "repro.mesh.router",
+    "repro.mesh.network",
+)
+_DEFAULT_SIMULATE = f"OBJECT_MODEL = {OBJECT_MODEL!r}" + _DEFAULT_SIMULATE
+
+#: One cold point through a served request, then what the parent holds.
+_SERVED_MISS = _PRELUDE + _POINTS + """
+from repro.runtime import MemCache
+from repro.service import ServiceClient, SweepService, start_in_thread
+stage("import repro.service")
+
+service = SweepService(
+    "127.0.0.1", 0, shards=1, workers_per_shard=1,
+    cache=ResultCache(sys.argv[1]), mem=MemCache(),
+)
+handle = start_in_thread(service)
+client = ServiceClient("127.0.0.1", service.port)
+text, report["source"] = client.run_point(uncached[0].payload())
+report["served"] = len(text)
+stage("served miss")
+client.shutdown()
+handle.stop()
+from repro.core import ckernel
+report["kernel_available"] = ckernel.available()
+finish()
 """
 
 
@@ -141,8 +196,15 @@ def test_default_simulate_loads_the_kernel_and_nothing_to_build_it(run_child):
     modules ``ckernel`` imports only to run the compiler."""
     report = run_child(_DEFAULT_SIMULATE)
     assert report["scheduler"] == "columnar"
-    assert report["loaded"] == ["ctypes", "repro.core.ckernel", "repro.core.columnar"]
+    assert report["loaded"] == [
+        "ctypes", "repro.core.ckernel", "repro.core.columnar", "repro.core.plan"
+    ]
     assert report["leaked"] == []
+    # Positive control: the fallback is where the object model loads,
+    # and it still answers with ``compiled``'s bytes.
+    assert "repro.core.engine" in report["slotted_loaded"]
+    assert "repro.ring.network" in report["slotted_loaded"]
+    assert report["slotted_is_compiled"]
 
 
 def test_cached_replay_never_loads_the_simulator(run_child, tmp_path):
@@ -153,24 +215,41 @@ def test_cached_replay_never_loads_the_simulator(run_child, tmp_path):
     assert stages["import repro"] == []
     assert stages["import repro.runtime"] == []
     assert stages["cached run_points"] == []
-    # Positive control: the same process loads the engine on its first
-    # miss — in-process, so still no process-pool stack.
-    assert "repro.core.engine" in stages["uncached run_point"]
+    # Positive control: the same process loads the simulator on its
+    # first miss — in-process, so still no process-pool stack.
+    assert "repro.core.columnar" in stages["uncached run_point"]
     assert "multiprocessing" not in stages["uncached run_point"]
 
 
 def test_pooled_miss_loads_the_simulator_before_the_pool_exists(run_child):
+    """The pool's parent loads what the pending points will run on: the
+    kernel tier for an all-kernel list, the engine too as soon as one
+    point (here a slotted ring) needs it — or the host has no kernel."""
     report = run_child(_POOLED_MISS)
-    assert report["results"] == 2
-    assert report["engine_loaded_at_pool_creation"] == [True]
+    assert report["results"] == [2, 2]
+    kernel = report["kernel_available"]
+    assert report["engine_loaded_at_pool_creation"] == [not kernel, True]
     # ... and the C kernel, where the host has one, already bound: the
     # forked workers inherit the mapping instead of each building it
-    assert report["kernel_bound_at_pool_creation"] == [report["kernel_available"]]
+    assert report["kernel_bound_at_pool_creation"] == [kernel, kernel]
+
+
+def test_served_miss_leaves_the_engine_out_of_the_service_parent(run_child, tmp_path):
+    """The service cannot know what it will be asked, so its parent
+    holds the kernel tier only; a cold point is simulated in a worker
+    and the engine stays out of the process that serves."""
+    report = run_child(_SERVED_MISS, str(tmp_path))
+    assert report["source"] == "computed" and report["served"]
+    loaded = report["stages"]["served miss"]
+    assert "repro.core.columnar" in loaded and "repro.core.ckernel" in loaded
+    if report["kernel_available"]:
+        assert "repro.core.engine" not in loaded
+        assert "repro.ring.network" not in loaded
 
 
 def test_cached_cli_replay_never_loads_the_simulator(run_child, tmp_path):
     fill = run_child(_CLI, str(tmp_path))
-    assert "repro.core.engine" in fill["stages"]["cli"]
+    assert "repro.core.columnar" in fill["stages"]["cli"]
     replay = run_child(_CLI, str(tmp_path))
     assert replay["status"] == fill["status"]
     assert "cache hits (100%)" in replay["stdout"]

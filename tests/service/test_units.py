@@ -218,24 +218,32 @@ class TestTieredCache:
         assert text == canonical_json(result_payload(sample[1]))
 
 
-# Runs in a child interpreter: this process imported the engine long
+# Runs in a child interpreter: this process imported the simulator long
 # ago, so any worker it forks would trivially hold it.
 _WARMED_WORKER = """
 import json, sys
 from repro.runtime import code_version_salt
 from repro.service import ShardedPools
 
-def engine_loaded():
-    return "repro.core.engine" in sys.modules
+def simulator_loaded():
+    kernel = sys.modules.get("repro.core.ckernel")
+    return {
+        "kernel_bound": kernel is not None and kernel._lib is not None,
+        "modules": [
+            name
+            for name in ("repro.core.columnar", "repro.core.plan", "repro.core.engine")
+            if name in sys.modules
+        ],
+    }
 
 pools = ShardedPools(1, 1, code_version_salt())
 try:
     pools.warm_up()
     # one shard, one worker: this lands on the worker warm_up spawned
-    loaded = pools._pools[0].submit(engine_loaded).result()
+    loaded = pools._pools[0].submit(simulator_loaded).result()
 finally:
     pools.shutdown()
-print(json.dumps({"worker_holds_engine": loaded}))
+print(json.dumps(loaded))
 """
 
 
@@ -246,5 +254,14 @@ class TestShardedPools:
     )
     def test_warmed_worker_already_holds_the_simulator(self, run_child):
         """The first never-seen point after ``warm_up`` must not pay the
-        engine import inside the request."""
-        assert run_child(_WARMED_WORKER)["worker_holds_engine"] is True
+        simulator's import inside the request: the worker was forked
+        holding what a default point runs on — the kernel tier with the
+        kernel bound, and the engine only on a host that has no kernel."""
+        from repro.core import ckernel
+
+        worker = run_child(_WARMED_WORKER)
+        if ckernel.available():
+            assert worker["kernel_bound"]
+            assert worker["modules"] == ["repro.core.columnar", "repro.core.plan"]
+        else:
+            assert "repro.core.engine" in worker["modules"]

@@ -70,6 +70,26 @@ class TestMeshRegion:
         with pytest.raises(ValueError):
             mesh_region(0, 3, locality=1.5)
 
+    @pytest.mark.parametrize("side", range(2, 12))
+    def test_whole_machine_shortcut_is_the_ranked_answer(self, side):
+        """A region that spans the machine is returned without ranking
+        the candidates; everywhere — at, next to and far from that edge
+        — the answer is the hop-ranked one."""
+
+        def ranked(pm_id, locality):
+            processors = side * side
+            remote_count = max(0, math.ceil(locality * processors) - 1)
+            x0, y0 = pm_id % side, pm_id // side
+            others = sorted(
+                (pm for pm in range(processors) if pm != pm_id),
+                key=lambda pm: (abs(pm % side - x0) + abs(pm // side - y0), pm),
+            )
+            return sorted([pm_id, *others[:remote_count]])
+
+        for locality in (0.05, 0.1, 0.3, 0.5, 0.99, 1.0):
+            for pm_id in range(side * side):
+                assert mesh_region(pm_id, side, locality) == ranked(pm_id, locality)
+
 
 class TestRegionTargetSelector:
     def test_targets_stay_in_region(self):
