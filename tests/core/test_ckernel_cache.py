@@ -27,10 +27,16 @@ SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 #: Load the kernel, say whether that worked and what it cost in imports.
 _LOAD = """
 import json, sys
+# Count only what appeared since start-up: a `.pth` file or
+# `sitecustomize` can preload stdlib modules before any repro code runs.
+_at_start = set(sys.modules)
 from repro.core import ckernel
 sys.stdout.write(json.dumps({
     "available": ckernel.available(),
-    "compile_imports": [m for m in ("subprocess", "tempfile", "shutil") if m in sys.modules],
+    "compile_imports": [
+        m for m in ("subprocess", "tempfile", "shutil")
+        if m in sys.modules and m not in _at_start
+    ],
 }) + "\\n")
 """
 

@@ -10,9 +10,14 @@ exists to run a compiler.  These are structural checks on
 long ago — not timings.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.core import ckernel
+
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 #: What a process that only replays cached results must never load.
 FORBIDDEN = (
@@ -123,6 +128,9 @@ finish()
 #: One default ``simulate()`` per fabric, then what got imported for it.
 _DEFAULT_SIMULATE = """
 import json, sys
+# Count only what appeared since start-up: a `.pth` file or
+# `sitecustomize` can preload stdlib modules before any repro code runs.
+_at_start = set(sys.modules)
 from repro import MeshSystemConfig, RingSystemConfig, SimulationParams, WorkloadConfig, simulate
 
 params = SimulationParams(batch_cycles=100, batches=2, seed=7)
@@ -133,7 +141,7 @@ unwanted = ("numpy", "subprocess", "tempfile", "shutil", "repro.core.batched") +
 report = {
     "scheduler": params.scheduler,
     "loaded": [name for name in wanted if name in sys.modules],
-    "leaked": [name for name in unwanted if name in sys.modules],
+    "leaked": [name for name in unwanted if name in sys.modules and name not in _at_start],
 }
 
 # ... and a point the kernel does not model loads the object model then
@@ -205,6 +213,24 @@ def test_default_simulate_loads_the_kernel_and_nothing_to_build_it(run_child):
     assert "repro.core.engine" in report["slotted_loaded"]
     assert "repro.ring.network" in report["slotted_loaded"]
     assert report["slotted_is_compiled"]
+
+
+@pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
+def test_modules_preloaded_at_start_up_are_not_blamed_on_the_kernel(run_child, tmp_path):
+    """A ``sitecustomize`` (or a ``.pth`` file) that imports ``tempfile``
+    and ``shutil`` before any repro code runs puts them in the host's
+    start-up, not in the kernel's import closure."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "import shutil, tempfile\nopen(__file__ + '.ran', 'w').close()\n"
+    )
+    report = run_child(
+        _DEFAULT_SIMULATE, env={"PYTHONPATH": f"{tmp_path}{os.pathsep}{SRC_DIR}"}
+    )
+    assert (tmp_path / "sitecustomize.py.ran").exists()  # the preload happened
+    assert report["leaked"] == []
+    assert report["loaded"] == [
+        "ctypes", "repro.core.ckernel", "repro.core.columnar", "repro.core.plan"
+    ]
 
 
 def test_cached_replay_never_loads_the_simulator(run_child, tmp_path):
