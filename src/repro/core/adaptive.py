@@ -6,19 +6,19 @@ dwarfs an idle mesh's).  :func:`simulate_to_precision` keeps adding
 batch-means batches until the latency confidence interval's relative
 half-width drops below a target, or a batch budget is exhausted —
 standard sequential batch-means methodology (MacDougall 1987, the
-paper's own simulation reference).
+paper's own simulation reference).  It is ``simulate()``'s schedule
+with a stop rule, so it runs where ``simulate()`` runs (the C kernel,
+or ``compiled`` for what the kernel refuses) and its result has the
+bytes of ``simulate()`` at the batch count it stopped at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import SimulationParams, WorkloadConfig
-from .engine import Engine
+from .config import DEFAULT_SIM, SimulationParams, WorkloadConfig
 from .errors import ConfigurationError
-from .pm import MetricsHub
-from .simulation import SimulationResult, SystemConfig, build_network
-from .statistics import RateMeter
+from .simulation import BatchMeters, SimulationResult, SystemConfig, _run_batches
 
 
 @dataclass
@@ -45,7 +45,7 @@ def simulate_to_precision(
     seed: int = 1,
     deadlock_threshold: int = 50_000,
     flow_control: str = "bypass",
-    scheduler: str = "active",
+    scheduler: str = DEFAULT_SIM.scheduler,
 ) -> AdaptiveResult:
     """Run until the latency CI half-width is within *relative_precision*.
 
@@ -59,73 +59,27 @@ def simulate_to_precision(
         raise ConfigurationError("need min_batches >= 3 (warm-up plus two)")
     if max_batches < min_batches:
         raise ConfigurationError("max_batches must be >= min_batches")
-    workload = (workload or WorkloadConfig()).validate()
-
-    metrics = MetricsHub()
-    network = build_network(system, workload, metrics, seed=seed)
-    engine = Engine(
-        deadlock_threshold=deadlock_threshold,
-        flow_control=flow_control,
-        scheduler=scheduler,
-    )
-    network.register(engine)
-
-    levels = list(network.levels_present)
-    util_meters = {level: RateMeter(level) for level in levels}
-    all_meter = RateMeter("__all__")
-    throughput_meter = RateMeter("throughput")
-
-    batches_run = 0
-    relative = float("inf")
-    converged = False
-    while batches_run < max_batches:
-        engine.run(batch_cycles)
-        batches_run += 1
-        metrics.close_batch()
-        for level, meter in util_meters.items():
-            meter.close_batch(
-                network.flits_carried(level), network.opportunities(engine.cycle, level)
-            )
-        all_meter.close_batch(
-            network.flits_carried(None), network.opportunities(engine.cycle, None)
-        )
-        throughput_meter.close_batch(
-            metrics.remote_completed + metrics.local_completed, engine.cycle
-        )
-        if batches_run < min_batches:
-            continue
-        summary = metrics.remote_latency.batch.summary()
-        relative = summary.relative_half_width
-        if relative <= relative_precision:
-            converged = True
-            break
-
-    utilization = {level: meter.summary() for level, meter in util_meters.items()}
-    utilization["__all__"] = all_meter.summary()
     params = SimulationParams(
         batch_cycles=batch_cycles,
-        batches=batches_run,
+        batches=max_batches,
         seed=seed,
         deadlock_threshold=deadlock_threshold,
         flow_control=flow_control,
         scheduler=scheduler,
     )
-    result = SimulationResult(
-        system=system,
-        workload=workload,
-        params=params,
-        cycles=engine.cycle,
-        latency=metrics.remote_latency.batch.summary(),
-        local_latency=metrics.local_latency.batch.summary(),
-        utilization=utilization,
-        throughput=throughput_meter.summary(),
-        remote_transactions=metrics.remote_completed,
-        local_transactions=metrics.local_completed,
-        flits_moved=engine.flits_moved,
-    )
+
+    def precise(batches: int, meters: list[BatchMeters]) -> bool:
+        return (
+            batches >= min_batches
+            and meters[0].metrics.remote_latency.batch.summary().relative_half_width
+            <= relative_precision
+        )
+
+    (result,) = _run_batches(system, workload, params, (seed,), stop=precise)
+    relative = result.latency.relative_half_width
     return AdaptiveResult(
         result=result,
-        converged=converged,
-        batches_run=batches_run,
+        converged=relative <= relative_precision,
+        batches_run=result.params.batches,
         relative_half_width=relative,
     )

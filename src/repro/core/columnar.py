@@ -30,7 +30,8 @@ This module builds the columns from the point's topology plan
 (:func:`repro.core.plan.topology_plan`: one replica's tables, computed
 from the spec without building an object network, tiled across the
 batch by the kernel's ``tile_offset`` / ``ring_routes``), hands them to
-the kernel and turns its tallies into :class:`SimulationResult` s; the
+the kernel and closes each batch's tallies into the batch-means meters
+every entry point shares (:class:`repro.core.simulation.BatchMeters`); the
 audit tier can materialize a replica's columns back into object form at
 sampled cycles (:mod:`repro.audit.stat_equiv`) and holds the network
 walk the plan replaced as its oracle (:mod:`repro.audit.plan_check`).
@@ -73,12 +74,13 @@ from .config import (
 from .errors import ConfigurationError, DeadlockError
 from .plan import SINK_CAP, topology_plan
 from .processor import LOOKAHEAD_CHUNK
-from .statistics import MetricsHub, RateMeter
 
 if TYPE_CHECKING:
     from .processor import MissSource
-    from .simulation import SimulationResult, SystemConfig
+    from .simulation import BatchMeters, SimulationResult, SystemConfig
 
+#: One replica's latency tallies for a batch: sum, count, min, max, last.
+_Tally = tuple[float, int, float, float, float]
 #: Words of one MT19937 column: the 624-word state and its read index.
 _MT_STATE = 625
 #: Initial rows of the (growable) packet table.
@@ -185,7 +187,7 @@ class ColumnarEngine:
         self.kind = plan.kind
         self.processors = plan.processors
         self.levels = plan.levels
-        self.opportunities_per_cycle = plan.opportunities_per_cycle
+        self.opportunities_per_cycle = {n: plan.opportunities_per_cycle[n] for n in self.levels}
         #: Per-replica buffer names, for diagnostics and materialization.
         self.buffer_names = plan.buffer_names
         self.buffers_per_replica = len(plan.buffer_names)
@@ -618,73 +620,36 @@ class ColumnarEngine:
             counts[self._k_loc_pm[(head + i) & self._k_mq_mask]] += 1
         return counts
 
-    def take_batch(self) -> "dict[str, array[int] | array[float]]":
-        """Per-replica latency tallies for the batch just run; resets them
+    def take_batch(self) -> "tuple[list[_Tally], list[_Tally]]":
+        """Per replica, the remote and the local latency tallies of the
+        batch just run as ``(sum, count, min, max, last)``; resets them
         (the ``last`` diagnostics carry over)."""
-        tallies: "dict[str, tuple[array[int] | array[float], float | None]]" = {
-            "remote_sum": (self._rem_sum, 0.0),
-            "remote_count": (self._rem_cnt, 0),
-            "remote_min": (self._rem_min, math.inf),
-            "remote_max": (self._rem_max, -math.inf),
-            "remote_last": (self._rem_last, None),
-            "local_sum": (self._loc_sum, 0.0),
-            "local_count": (self._loc_cnt_stat, 0),
-            "local_min": (self._loc_min, math.inf),
-            "local_max": (self._loc_max, -math.inf),
-            "local_last": (self._loc_last, None),
-        }
-        out = {name: column[:] for name, (column, _) in tallies.items()}
-        for column, start in tallies.values():
-            if start is not None:
-                column[:] = array(column.typecode, [start]) * self.replicas
-        return out
-
-    @property
-    def flits_level(self) -> "list[array[int]]":
-        """Cumulative channel flits: one row of per-level counts per replica."""
-        L = len(self.levels)
-        return [self._flits_level[r * L : (r + 1) * L] for r in range(self.replicas)]
-
-
-def _simulate_on_compiled(
-    system: "SystemConfig",
-    workload: WorkloadConfig,
-    params: SimulationParams,
-    seeds: Sequence[int],
-    miss_sources: "Sequence[MissSource] | None",
-) -> "list[SimulationResult]":
-    """The tier without its kernel: each seed alone under ``compiled``.
-
-    Same bytes, one seed at a time.  A lockstep batch stops at the
-    replica that wedges first in simulated time, so a deadlock is only
-    reported once every seed has run, for the earliest one — as
-    ``compiled`` words it when the batch is one seed.
-    """
-    from .simulation import simulate
-
-    results: list[SimulationResult] = []
-    wedged: tuple[DeadlockError, int] | None = None
-    for replica, seed in enumerate(seeds):
-        solo = replace(params, seed=seed, replicas=1)
-        try:
-            result = simulate(
-                system, workload, replace(solo, scheduler="compiled"), miss_sources
-            )
-        except DeadlockError as exc:
-            if len(seeds) == 1:
-                raise
-            if wedged is None or exc.cycle < wedged[0].cycle:
-                wedged = (exc, replica)
-            continue
-        results.append(replace(result, params=solo))
-    if wedged is not None:
-        exc, replica = wedged
-        raise DeadlockError(
-            exc.cycle,
-            exc.stalled_cycles,
-            detail=f"columnar replica {replica} (seed {seeds[replica]})",
+        groups: "tuple[tuple[array[int] | array[float], ...], ...]" = (
+            (self._rem_sum, self._rem_cnt, self._rem_min, self._rem_max, self._rem_last),
+            (self._loc_sum, self._loc_cnt_stat, self._loc_min, self._loc_max, self._loc_last),
         )
-    return results
+        taken: "list[list[_Tally]]" = []
+        for columns in groups:
+            taken.append(list(zip(*columns)))
+            for column, start in zip(columns, (0.0, 0, math.inf, -math.inf)):
+                column[:] = array(column.typecode, [start]) * self.replicas
+        return taken[0], taken[1]
+
+    def close_batch(self, meters: "Sequence[BatchMeters]") -> None:
+        """Close the batch just run into every replica's meters: the
+        latency tallies through :meth:`LatencyStats.observe_batch`, the
+        cumulative transaction and flit counters as they stand."""
+        remote, local = self.take_batch()
+        L = len(self.levels)
+        for r, replica in enumerate(meters):
+            metrics = replica.metrics
+            metrics.remote_latency.observe_batch(*remote[r])
+            metrics.local_latency.observe_batch(*local[r])
+            metrics.remote_completed = self.remote_completed[r]
+            metrics.local_completed = self.local_completed[r]
+            replica.close_batch(
+                self._flits_level[r * L : (r + 1) * L], self.cycle, self.flits_moved_replica[r]
+            )
 
 
 def simulate_columnar(
@@ -698,97 +663,24 @@ def simulate_columnar(
 ) -> "list[SimulationResult]":
     """Run N seeds of one point on the kernel tier; one result per seed.
 
-    Mirrors :func:`repro.core.simulation.simulate_batch`'s metering —
-    per-replica batch-means latency, per-level utilization and
-    throughput — but feeds the latency recorders from the engine's
-    column tallies via :meth:`LatencyStats.observe_batch`.  Each result
-    serializes to the bytes of a solo ``compiled`` run of its seed and
-    keeps ``scheduler="columnar"`` in its ``params`` (an execution
-    detail, like ``"batched"``).  Where :func:`kernel_can_run` says no,
-    the seeds run under ``compiled`` one by one, and ``cycle_hook`` —
-    which needs columns to look at — is not called.  ``miss_sources``
-    (always that route) is only meaningful for a batch of one: the
-    sources are stateful objects.
+    The batch-means schedule is :func:`repro.core.simulation.simulate_batch`'s
+    own (one loop, per-replica :class:`~repro.core.simulation.BatchMeters`);
+    the kernel's part is :meth:`ColumnarEngine.close_batch`.  Each
+    result serializes to the bytes of a solo ``compiled`` run of its
+    seed and carries ``scheduler="columnar"`` in its ``params`` (an
+    execution detail, like ``"batched"``).  Where :func:`kernel_can_run`
+    says no, the seeds run under ``compiled`` one by one, and
+    ``cycle_hook`` — which needs columns to look at — is not called.
+    ``miss_sources`` (always that route) is only meaningful for a batch
+    of one: the sources are stateful objects.
     """
-    from .simulation import SimulationResult
+    from .simulation import _run_batches
 
-    workload = (workload or WorkloadConfig()).validate()
-    params = (params or DEFAULT_SIM).validate()
-    if seeds is None:
-        seeds = tuple(range(params.seed, params.seed + params.replicas))
-    else:
-        seeds = tuple(seeds)
-    if not seeds:
-        raise ConfigurationError("simulate_columnar needs at least one seed")
-    if miss_sources is not None and len(seeds) != 1:
-        raise ConfigurationError("miss_sources requires a batch of exactly one replica")
-    if not kernel_can_run(system, workload, miss_sources):
-        return _simulate_on_compiled(system, workload, params, seeds, miss_sources)
-
-    engine = ColumnarEngine(system, workload, params, seeds)
-    engine.cycle_hook = cycle_hook
-    engine.hook_interval = hook_interval
-    R = len(seeds)
-    hubs = [MetricsHub() for _ in range(R)]
-    levels = engine.levels
-    util_meters = [{level: RateMeter(level) for level in levels} for _ in range(R)]
-    all_meters = [RateMeter("__all__") for _ in range(R)]
-    throughput_meters = [RateMeter("throughput") for _ in range(R)]
-    opp = engine.opportunities_per_cycle
-
-    for _ in range(params.batches):
-        engine.run(params.batch_cycles)
-        batch = engine.take_batch()
-        flits = engine.flits_level
-        for r, metrics in enumerate(hubs):
-            metrics.remote_latency.observe_batch(
-                batch["remote_sum"][r],
-                batch["remote_count"][r],
-                batch["remote_min"][r],
-                batch["remote_max"][r],
-                batch["remote_last"][r],
-            )
-            metrics.local_latency.observe_batch(
-                batch["local_sum"][r],
-                batch["local_count"][r],
-                batch["local_min"][r],
-                batch["local_max"][r],
-                batch["local_last"][r],
-            )
-            metrics.close_batch()
-            for level, carried in zip(levels, flits[r]):
-                util_meters[r][level].close_batch(carried, opp[level] * engine.cycle)
-            all_meters[r].close_batch(sum(flits[r]), sum(opp.values()) * engine.cycle)
-            completed = engine.remote_completed[r] + engine.local_completed[r]
-            throughput_meters[r].close_batch(completed, engine.cycle)
-
-    results: list[SimulationResult] = []
-    for r, seed in enumerate(seeds):
-        metrics = hubs[r]
-        utilization = {
-            level: meter.summary() for level, meter in util_meters[r].items()
-        }
-        utilization["__all__"] = all_meters[r].summary()
-        results.append(
-            SimulationResult(
-                system=system,
-                workload=workload,
-                params=replace(params, seed=seed, replicas=1),
-                cycles=engine.cycle,
-                latency=metrics.remote_latency.batch.summary(),
-                local_latency=metrics.local_latency.batch.summary(),
-                utilization=utilization,
-                throughput=throughput_meters[r].summary(),
-                remote_transactions=engine.remote_completed[r],
-                local_transactions=engine.local_completed[r],
-                flits_moved=engine.flits_moved_replica[r],
-                latency_range=(
-                    metrics.remote_latency.minimum,
-                    metrics.remote_latency.maximum,
-                ),
-            )
-        )
-    return results
+    params = replace(params or DEFAULT_SIM, scheduler="columnar")
+    return _run_batches(
+        system, workload, params, seeds, miss_sources,
+        cycle_hook=cycle_hook, hook_interval=hook_interval,
+    )
 
 
 __all__ = ["ColumnarEngine", "kernel_can_run", "simulate_columnar"]

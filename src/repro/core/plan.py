@@ -68,7 +68,7 @@ class TopologyPlan:
 
     kind: str  # "ring" | "mesh"
     processors: int
-    #: utilization levels, sorted, and flit opportunities per base cycle
+    #: utilization levels, sorted, and flit opportunities per base cycle by level
     levels: list[str]
     opportunities_per_cycle: dict[str, float]
     header_flits: int

@@ -62,6 +62,19 @@ class Summary:
         return self.half_width / abs(self.mean)
 
 
+def _summarize(values: tuple[float, ...]) -> Summary:
+    """Mean and 95% t half-width over the retained batch values."""
+    if not values:
+        return Summary(math.nan, math.nan, values)
+    n = len(values)
+    mean = sum(values) / n
+    if n < 2:
+        return Summary(mean, math.inf, values)
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    half = _t_critical(n - 1) * math.sqrt(var / n)
+    return Summary(mean, half, values)
+
+
 class BatchMeans:
     """Accumulates per-batch means; the first closed batch is discarded."""
 
@@ -119,16 +132,7 @@ class BatchMeans:
         return tuple(kept[1:])
 
     def summary(self) -> Summary:
-        means = self.retained_means
-        if not means:
-            return Summary(math.nan, math.nan, means)
-        n = len(means)
-        mean = sum(means) / n
-        if n < 2:
-            return Summary(mean, math.inf, means)
-        var = sum((m - mean) ** 2 for m in means) / (n - 1)
-        half = _t_critical(n - 1) * math.sqrt(var / n)
-        return Summary(mean, half, means)
+        return _summarize(self.retained_means)
 
 
 class RateMeter:
@@ -180,16 +184,7 @@ class RateMeter:
         return tuple(kept[1:])
 
     def summary(self) -> Summary:
-        rates = self.retained_rates
-        if not rates:
-            return Summary(math.nan, math.nan, rates)
-        n = len(rates)
-        mean = sum(rates) / n
-        if n < 2:
-            return Summary(mean, math.inf, rates)
-        var = sum((r - mean) ** 2 for r in rates) / (n - 1)
-        half = _t_critical(n - 1) * math.sqrt(var / n)
-        return Summary(mean, half, rates)
+        return _summarize(self.retained_rates)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Final, Iterable, Iterator, Sequence, cast
 
 from ..core.errors import ConfigurationError
-from ..core.simulation import simulate, simulate_batch
+from ..core.simulation import replica_seeds, simulate, simulate_batch
 from .cache import ResultCache, prime_code_version_salt
 from .memcache import GLOBAL_MEMCACHE, MemCache, entry_key
 from .serialization import canonical_json, result_payload
@@ -267,13 +267,7 @@ def run_replica_batch(
     — and is served by — the very entries a ``compiled`` request for
     that seed reads.
     """
-    if seeds is None:
-        base = spec.params.seed
-        seeds = tuple(range(base, base + spec.params.replicas))
-    else:
-        seeds = tuple(seeds)
-    if not seeds:
-        raise ConfigurationError("run_replica_batch needs at least one seed")
+    seeds = replica_seeds(spec.params, seeds)
     jobs = resolve_jobs(jobs)
     active_cache = _resolve_cache(cache)
     hook = progress if progress is not None else _context.progress

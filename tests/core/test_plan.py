@@ -212,6 +212,26 @@ def test_default_simulate_never_builds_a_network(system, monkeypatch):
     assert canonical_json(result_payload(simulate(system, LOAD, RUN))) == oracle
 
 
+@needs_kernel
+def test_kernel_meters_levels_by_name_not_by_map_order(monkeypatch):
+    """The kernel counts flits in ``plan.levels`` order; the meters must
+    pair each count with its own level whatever order the plan's
+    opportunities map happens to be in."""
+    from repro.core import columnar
+
+    system = RingSystemConfig(topology="2:2:4", cache_line_bytes=32, global_ring_speed=2)
+    expected = canonical_json(result_payload(simulate(system, LOAD, RUN)))
+
+    def reversed_opportunities(system, workload):
+        plan = topology_plan(system, workload)
+        assert len(plan.levels) == 3
+        shuffled = dict(reversed(plan.opportunities_per_cycle.items()))
+        return replace(plan, opportunities_per_cycle=shuffled)
+
+    monkeypatch.setattr(columnar, "topology_plan", reversed_opportunities)
+    assert canonical_json(result_payload(simulate(system, LOAD, RUN))) == expected
+
+
 def _slotted():
     return simulate(replace(RING, switching="slotted"), LOAD, RUN)
 

@@ -144,6 +144,16 @@ report = {
     "leaked": [name for name in unwanted if name in sys.modules and name not in _at_start],
 }
 
+# ... a default precision run is the same schedule, so it stays there too
+from repro import simulate_to_precision
+
+simulate_to_precision(
+    RingSystemConfig(topology="2:4"), WorkloadConfig(miss_rate=0.1), batch_cycles=100, seed=7
+)
+report["precision_leaked"] = [
+    name for name in OBJECT_MODEL if name in sys.modules and name not in _at_start
+]
+
 # ... and a point the kernel does not model loads the object model then
 from repro.runtime.serialization import canonical_json, result_payload
 
@@ -155,6 +165,14 @@ default = slotted(params)
 report["slotted_loaded"] = [name for name in OBJECT_MODEL if name in sys.modules]
 from dataclasses import replace
 report["slotted_is_compiled"] = default == slotted(replace(params, scheduler="compiled"))
+# ... where a precision run answers with the fallback's bytes
+adaptive = simulate_to_precision(
+    RingSystemConfig(topology="2:4", switching="slotted"), WorkloadConfig(miss_rate=0.1),
+    batch_cycles=100, seed=7,
+)
+report["slotted_precision_is_compiled"] = canonical_json(
+    result_payload(adaptive.result)
+) == slotted(replace(params, batches=adaptive.batches_run, scheduler="compiled"))
 print(json.dumps(report))
 """
 
@@ -208,11 +226,14 @@ def test_default_simulate_loads_the_kernel_and_nothing_to_build_it(run_child):
         "ctypes", "repro.core.ckernel", "repro.core.columnar", "repro.core.plan"
     ]
     assert report["leaked"] == []
+    # simulate_to_precision runs the same schedule on the same route
+    assert report["precision_leaked"] == []
     # Positive control: the fallback is where the object model loads,
-    # and it still answers with ``compiled``'s bytes.
+    # and it still answers with ``compiled``'s bytes, precision run too.
     assert "repro.core.engine" in report["slotted_loaded"]
     assert "repro.ring.network" in report["slotted_loaded"]
     assert report["slotted_is_compiled"]
+    assert report["slotted_precision_is_compiled"]
 
 
 @pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
