@@ -5,7 +5,7 @@ int64/uint8/uint32/float64 arrays; this module hands them to a small C
 kernel (compiled once per host with the system ``cc``, kept as a shared
 object in the user's cache directory and bound through :mod:`ctypes`)
 that runs the propose/resolve/commit/update cycle as plain loops over
-the ports and, from resolve on, over only the rows that proposed.
+the live ports and, from resolve on, over only the rows that proposed.
 Nothing else steps those columns: the kernel *is* the tier's engine.
 
 It is the integer twin of the compiled object engine, and a replica's
@@ -25,7 +25,12 @@ agreement rests on one shared stream and three structural facts:
   table).  A PM's stream depends on nothing but how many draws it has
   made, so drawing a gap's Bernoullis in one run when the previous miss
   is consumed — at most ``LOOKAHEAD_CHUNK`` per visit — reads the same
-  words as drawing one per cycle.
+  words as drawing one per cycle.  Each Bernoulli is decided in
+  integers: ``random()`` is ``(a * 2**26 + b) / 2**53`` for the two
+  words' top 27 and 26 bits, so ``random() < p`` is ``a * 2**26 + b <
+  bernoulli_threshold(p)`` (``ceil(p * 2**53)``, exact in Python).  The
+  second word is only tempered when ``a`` ties the threshold's high
+  bits, and is consumed either way.
 * **Arbitration reads start-of-subcycle state.**  A ring port takes the
   first non-empty source in static priority order (or streams the
   source it is locked to); a free mesh output takes the first
@@ -34,6 +39,20 @@ agreement rests on one shared stream and three structural facts:
   router's inputs are classified once into a per-direction request mask
   — PR 18's request word over columns — and the winner is the object
   router's.  Rows are appended in ascending port order.
+* **Only live units are visited.**  A unit is a ring port or a mesh
+  router; it is live while any buffer it reads (a port's sources; a
+  router's four inputs and its PM's two output queues) holds a flit,
+  and only a live unit can propose.  On entry to ``step_cycles`` the
+  kernel derives, from ``occ[]``, the unit reading each buffer, each
+  unit's flit count and a bitmap of the live ones; every commit pop,
+  commit fill and staging drain keeps the three in step with ``occ[]``,
+  and propose walks the bitmap lowest bit first, so rows keep ascending
+  port order (a router's outputs are contiguous, routers ascending).
+  The same entry derives the list of non-empty staging columns the
+  drain walks and the least countdown, which lets a cycle with nothing
+  parked and nothing due count every column down in one sweep, and the
+  quiet jump skip to the next miss without a search.  None of it is
+  state Python keeps: the columns are scratch.
 * **Resolve is a worklist over the greatest fixed point** — the twin of
   ``Engine._resolve_compiled``.  A row can only be revoked if its
   bounded destination is already full, so propose seeds a stack with
@@ -85,11 +104,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import sys
 import threading
 
-__all__ = ["available", "load", "PTR", "KS", "PRM"]
+__all__ = ["available", "bernoulli_threshold", "load", "PTR", "KS", "PRM"]
 
 
 class PTR:
@@ -146,52 +166,54 @@ class PTR:
     MT_KEY = 42
     POOL = 43
     POOL_ROW = 44
-    DRAW_P = 45
-    PKT_DEST = 46
-    PKT_SRC = 47
-    PKT_SIZE = 48
-    PKT_ISSUE = 49
-    PKT_RESP = 50
-    PKT_READ = 51
-    PKT_RT = 52
-    MEM_READY = 53
-    MEM_PM = 54
-    MEM_PID = 55
-    LOC_READY = 56
-    LOC_PM = 57
-    STALLED = 58
-    REM_SUM = 59
-    REM_CNT = 60
-    REM_MIN = 61
-    REM_MAX = 62
-    REM_LAST = 63
-    LOC_SUM = 64
-    LOC_CNT = 65
-    LOC_MIN = 66
-    LOC_MAX = 67
-    LOC_LAST = 68
-    REMOTE_COMPLETED = 69
-    LOCAL_COMPLETED = 70
-    REMOTE_ISSUED = 71
-    LOCAL_ISSUED = 72
-    FLITS_LEVEL = 73
-    FLITS_MOVED = 74
-    ROW_PORT = 75
-    ROW_SRC = 76
-    ROW_DST = 77
-    ROW_PID = 78
-    ROW_IN = 79
-    ROW_LIVE = 80
-    DRAINER = 81
-    FILLER = 82
-    WORK = 83
-    REQ = 84
-    REQ_SRC = 85
-    COMP = 86
-    CYC_PROP = 87
-    CYC_COMM = 88
-    KSTATE = 89
-    COUNT = 90
+    PKT_DEST = 45
+    PKT_SRC = 46
+    PKT_SIZE = 47
+    PKT_ISSUE = 48
+    PKT_RESP = 49
+    PKT_READ = 50
+    PKT_RT = 51
+    MEM_READY = 52
+    MEM_PM = 53
+    MEM_PID = 54
+    LOC_READY = 55
+    LOC_PM = 56
+    STALLED = 57
+    REM_SUM = 58
+    REM_CNT = 59
+    REM_MIN = 60
+    REM_MAX = 61
+    REM_LAST = 62
+    LOC_SUM = 63
+    LOC_CNT = 64
+    LOC_MIN = 65
+    LOC_MAX = 66
+    LOC_LAST = 67
+    REMOTE_COMPLETED = 68
+    LOCAL_COMPLETED = 69
+    REMOTE_ISSUED = 70
+    LOCAL_ISSUED = 71
+    FLITS_LEVEL = 72
+    FLITS_MOVED = 73
+    ROW_PORT = 74
+    ROW_SRC = 75
+    ROW_DST = 76
+    ROW_PID = 77
+    ROW_IN = 78
+    ROW_LIVE = 79
+    DRAINER = 80
+    FILLER = 81
+    WORK = 82
+    COMP = 83
+    CYC_PROP = 84
+    CYC_COMM = 85
+    LIVE_OF = 86
+    LIVE_CNT = 87
+    LIVE_BITS = 88
+    PORT_LO = 89
+    STG_DIRTY = 90
+    KSTATE = 91
+    COUNT = 92
 
 
 class KS:
@@ -201,13 +223,12 @@ class KS:
     NPKT = 1
     PKT_CAP = 2
     NET_FLITS = 3
-    STG_TOTAL = 4
-    PEND_TOTAL = 5
-    MEM_HEAD = 6
-    MEM_CNT = 7
-    LOC_HEAD = 8
-    LOC_CNT = 9
-    ARG = 10
+    PEND_TOTAL = 4
+    MEM_HEAD = 5
+    MEM_CNT = 6
+    LOC_HEAD = 7
+    LOC_CNT = 8
+    ARG = 9
     COUNT = 16
 
 
@@ -238,7 +259,22 @@ class PRM:
     MQ_MASK = 21
     CHUNK = 22  # Bernoulli draws per visit (processor.LOOKAHEAD_CHUNK)
     KEY_WORDS = 23  # row width of the seeding key table
-    COUNT = 24
+    MISS_THR = 24  # bernoulli_threshold(miss_rate)
+    READ_THR = 25  # bernoulli_threshold(read_fraction)
+    COUNT = 26
+
+
+def bernoulli_threshold(p: float) -> int:
+    """The integer the kernel tests ``random() < p`` against.
+
+    ``random()`` is ``n / 2**53`` for a 53-bit integer ``n``, and for a
+    real ``x`` an integer is below ``x`` iff it is below ``ceil(x)``, so
+    ``n < bernoulli_threshold(p)`` iff ``n * 2**-53 < p``.  ``ldexp``
+    only moves the exponent, so ``p * 2**53`` and its ceiling are exact.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"a probability must be in [0, 1], got {p}")
+    return math.ceil(math.ldexp(p, 53))
 
 
 #: step_cycles return codes.
@@ -251,15 +287,16 @@ _SOURCE = r"""
 
 typedef int64_t  i64;
 typedef uint32_t u32;
+typedef uint64_t u64;
 typedef uint8_t  u8;
 typedef double   f64;
 
 enum { P_KIND, P_R, P_U, P_P, P_L, P_NB, P_NU, P_NPM, P_V, P_SENT,
        P_SMASK, P_BLOG, P_SUBC, P_MEMLAT, P_TLIM, P_HDR, P_CL,
        P_BYPASS, P_THRESH, P_STGCAP, P_STGMASK, P_MQMASK, P_CHUNK,
-       P_KEYW };
+       P_KEYW, P_MISSTHR, P_READTHR };
 
-enum { K_CYCLE, K_NPKT, K_PKTCAP, K_NETF, K_STGTOT, K_PENDTOT,
+enum { K_CYCLE, K_NPKT, K_PKTCAP, K_NETF, K_PENDTOT,
        K_MEMH, K_MEMC, K_LOCH, K_LOCC, K_ARG };
 
 enum {
@@ -271,7 +308,7 @@ enum {
  A_STGQ, A_STGQCAP, A_STGPID, A_STGHEAD, A_STGCNT,
  A_OUT, A_REMOPEN, A_RXCNT, A_RXPID, A_PMLOCAL, A_ROFPM,
  A_PEND, A_PENDRD, A_PENDTGT, A_CD,
- A_MORE, A_MT, A_MTKEY, A_POOL, A_POOLROW, A_DRAWP,
+ A_MORE, A_MT, A_MTKEY, A_POOL, A_POOLROW,
  A_PDEST, A_PSRC, A_PSIZE, A_PISSUE, A_PRESP, A_PREAD, A_PRT,
  A_MEMREADY, A_MEMPM, A_MEMPID, A_LOCREADY, A_LOCPM,
  A_STALLED,
@@ -280,8 +317,9 @@ enum {
  A_RCOMP, A_LCOMP, A_RISS, A_LISS,
  A_FLVL, A_FMOV,
  A_ROWPORT, A_ROWSRC, A_ROWDST, A_ROWPID, A_ROWIN, A_ROWLIVE,
- A_DRAINER, A_FILLER, A_WORK, A_REQ, A_REQSRC,
+ A_DRAINER, A_FILLER, A_WORK,
  A_COMP, A_CYCPROP, A_CYCCOMM,
+ A_LIVEOF, A_LIVECNT, A_LIVEBITS, A_PORTLO, A_STGDIRTY,
  A_KSTATE };
 
 /* ---- the miss stream: MT19937 exactly as random.Random runs it ----
@@ -293,14 +331,12 @@ enum {
 #define MT_M 397
 #define MT_STATE (MT_N + 1)
 
-/* random.seed(n): init_by_array over abs(n)'s little-endian words. */
-static void mt_seed(u32 *mt, const u32 *key, u32 klen)
+/* random.seed(n) is init_genrand(19650218), the same 624 words for every
+   key, then init_by_array's two mixing passes over abs(n)'s
+   little-endian words: mt arrives holding the former. */
+static void mt_mix(u32 *mt, const u32 *key, u32 klen)
 {
-    u32 i, j = 0, k;
-    mt[0] = 19650218U;
-    for (i = 1; i < MT_N; i++)
-        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
-    i = 1;
+    u32 i = 1, j = 0, k;
     for (k = MT_N > klen ? MT_N : klen; k; k--) {
         mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
                 + key[j] + j;
@@ -321,31 +357,37 @@ static void mt_seed(u32 *mt, const u32 *key, u32 klen)
         mt[a] = mt[c] ^ (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);    \
     } while (0)
 
-static u32 mt_u32(u32 *mt)
+/* The next 624 words; the read index restarts at 0. */
+static void mt_twist(u32 *mt)
 {
-    u32 y;
-    if (mt[MT_N] >= MT_N) {
-        u32 k;
-        for (k = 0; k < MT_N - MT_M; k++) MT_TWIST(k, k + 1, k + MT_M);
-        for (; k < MT_N - 1; k++) MT_TWIST(k, k + 1, k - (MT_N - MT_M));
-        MT_TWIST(MT_N - 1, 0, MT_M - 1);
-        mt[MT_N] = 0;
-    }
-    y = mt[mt[MT_N]++];
+    u32 k;
+    for (k = 0; k < MT_N - MT_M; k++) MT_TWIST(k, k + 1, k + MT_M);
+    for (; k < MT_N - 1; k++) MT_TWIST(k, k + 1, k - (MT_N - MT_M));
+    MT_TWIST(MT_N - 1, 0, MT_M - 1);
+    mt[MT_N] = 0;
+}
+
+static u32 mt_temper(u32 y)
+{
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
     return y ^ (y >> 18);
 }
 
-/* random.random().  Exact whether or not the compiler contracts the
-   expression into a fused multiply-add: a < 2^27 and b < 2^26, so both
-   products and the sum are integers below 2^53 (times a power of two)
-   and no step rounds, fused or not. */
-static f64 mt_res53(u32 *mt)
+static u32 mt_u32(u32 *mt)
 {
-    u32 a = mt_u32(mt) >> 5, b = mt_u32(mt) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    if (mt[MT_N] >= MT_N) mt_twist(mt);
+    return mt_temper(mt[mt[MT_N]++]);
+}
+
+/* random.random() < p, with thr = ceil(p * 2^53) (bernoulli_threshold):
+   random() is (a * 2^26 + b) / 2^53 with a = w0 >> 5 and b = w1 >> 6,
+   so the test is the integer a * 2^26 + b < thr. */
+static int mt_bernoulli(u32 *mt, i64 thr)
+{
+    i64 a = mt_u32(mt) >> 5;
+    return (a << 26 | mt_u32(mt) >> 6) < thr;
 }
 
 /* random.Random._randbelow(n): getrandbits(n.bit_length()) until the
@@ -362,11 +404,31 @@ static i64 mt_below(u32 *mt, i64 n, i64 bits)
    as MissGenerator._advance_schedule makes them, up to the first
    success (gap = failures + 1).  A run of `chunk` failures returns
    with *more set: no miss when that countdown expires, keep drawing —
-   so a vanishing miss rate cannot hold one cycle for ever. */
-static i64 draw_gap(u32 *mt, f64 rate, i64 chunk, u8 *more)
+   so a vanishing miss rate cannot hold one cycle for ever.  The pairs
+   are read straight out of the block (only one that straddles a twist
+   goes through mt_bernoulli), and since a below thr's high 27 bits
+   wins and a above loses, b's word is only tempered on a tie. */
+static i64 draw_gap(u32 *mt, i64 thr, i64 chunk, u8 *more)
 {
-    for (i64 gap = 1; gap <= chunk; gap++)
-        if (mt_res53(mt) < rate) { *more = 0; return gap; }
+    const u32 hi = (u32)(thr >> 26), lo = (u32)(thr & 0x3ffffff);
+    u32 i = mt[MT_N];
+    for (i64 gap = 1; gap <= chunk; gap++) {
+        if (i == MT_N) { mt_twist(mt); i = 0; }
+        if (i == MT_N - 1) {
+            mt[MT_N] = i;
+            if (mt_bernoulli(mt, thr)) { *more = 0; return gap; }
+            i = mt[MT_N];
+            continue;
+        }
+        u32 a = mt_temper(mt[i]) >> 5;
+        i += 2;
+        if (a < hi || (a == hi && (mt_temper(mt[i - 1]) >> 6) < lo)) {
+            mt[MT_N] = i;
+            *more = 0;
+            return gap;
+        }
+    }
+    mt[MT_N] = i;
     *more = 1;
     return chunk;
 }
@@ -380,14 +442,18 @@ void seed_streams(void **A, const i64 *pr)
     u8  *more   = (u8  *)A[A_MORE];
     u32 *mtv    = (u32 *)A[A_MT];
     u32 *keys   = (u32 *)A[A_MTKEY];
-    f64 *drawp  = (f64 *)A[A_DRAWP];
+    u32 genrand[MT_N];
+    genrand[0] = 19650218U;
+    for (u32 i = 1; i < MT_N; i++)
+        genrand[i] = 1812433253U * (genrand[i - 1] ^ (genrand[i - 1] >> 30)) + i;
     for (i64 f = 0; f < pr[P_NPM]; f++) {
         u32 *mt = mtv + f * MT_STATE;
         const u32 *key = keys + f * pr[P_KEYW];
         u32 klen = (u32)pr[P_KEYW];
         while (klen > 1 && key[klen - 1] == 0) klen--;
-        mt_seed(mt, key, klen);
-        cd[f] = draw_gap(mt, drawp[0], pr[P_CHUNK], more + f);
+        for (u32 i = 0; i < MT_N; i++) mt[i] = genrand[i];
+        mt_mix(mt, key, klen);
+        cd[f] = draw_gap(mt, pr[P_MISSTHR], pr[P_CHUNK], more + f);
     }
 }
 
@@ -446,6 +512,18 @@ static const u8 LOWBIT[32] = {0, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0,
         nrow++;                                         \
     } while (0)
 
+/* The unit reading buffer b gains n flits / loses one.  Every buffer
+   a flit can enter or leave, sinks aside, has a reader. */
+#define LIVE_ADD(b, n) do {                                  \
+        i64 w_ = liveof[b];                                  \
+        livecnt[w_] += (n);                                  \
+        livebit[w_ >> 6] |= 1ULL << (w_ & 63);               \
+    } while (0)
+#define LIVE_POP(b) do {                                             \
+        i64 w_ = liveof[b];                                          \
+        livebit[w_ >> 6] &= ~((u64)(--livecnt[w_] == 0) << (w_ & 63)); \
+    } while (0)
+
 long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 {
     /* ---- unpack ---- */
@@ -493,7 +571,6 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     u32 *mtv    = (u32 *)A[A_MT];
     i64 *pool   = (i64 *)A[A_POOL];
     i64 *poolrow= (i64 *)A[A_POOLROW];
-    f64 *drawp  = (f64 *)A[A_DRAWP];
     i64 *pdest  = (i64 *)A[A_PDEST];
     i64 *psrcp  = (i64 *)A[A_PSRC];
     i64 *psize  = (i64 *)A[A_PSIZE];
@@ -532,15 +609,19 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     i64 *drainer= (i64 *)A[A_DRAINER];
     i64 *filler = (i64 *)A[A_FILLER];
     i64 *work   = (i64 *)A[A_WORK];
-    i64 *req    = (i64 *)A[A_REQ];
-    i64 *reqsrc = (i64 *)A[A_REQSRC];
     i64 *comp   = (i64 *)A[A_COMP];
     i64 *prop   = (i64 *)A[A_CYCPROP];
     i64 *comm   = (i64 *)A[A_CYCCOMM];
+    i64 *liveof = (i64 *)A[A_LIVEOF];
+    i64 *livecnt= (i64 *)A[A_LIVECNT];
+    u64 *livebit= (u64 *)A[A_LIVEBITS];
+    i64 *portlo = (i64 *)A[A_PORTLO];
+    i64 *dirty  = (i64 *)A[A_STGDIRTY];
     i64 *ks     = (i64 *)A[A_KSTATE];
 
     const i64 kind   = pr[P_KIND];
     const i64 R      = pr[P_R];
+    const i64 NB     = pr[P_NB];
     const i64 NU     = pr[P_NU];
     const i64 Pn     = pr[P_P];
     const i64 NPM    = pr[P_NPM];
@@ -558,11 +639,47 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     const i64 stgmask= pr[P_STGMASK];
     const i64 mqmask = pr[P_MQMASK];
     const i64 chunk  = pr[P_CHUNK];
-    const f64 rate   = drawp[0];
-    const f64 rfrac  = drawp[1];
+    const i64 missthr= pr[P_MISSTHR];
+    const i64 readthr= pr[P_READTHR];
 
     i64 cycle = ks[K_CYCLE];
     const i64 end = cycle + max_cycles;
+
+    /* ---- the live sets, derived from the columns on every entry ----
+       A unit is a ring port or a mesh router.  liveof[b] is the one
+       unit that reads buffer b (-1: a sink or the sentinel), livecnt[w]
+       the flits in unit w's buffers, and bit w of livebit is set iff
+       that count is non-zero; commit pops and fills and the staging
+       drain keep all three in step with occ[], so propose visits only
+       units with a flit to move.  dirty[0, ndirty) lists the non-empty
+       staging columns, and mincd is the least countdown whenever no
+       column is parked. */
+    const i64 nunit = kind == 0 ? NU : R * V;
+    const i64 nword = (nunit + 63) >> 6;
+    for (i64 b = 0; b <= NB; b++) liveof[b] = -1;
+    if (kind == 0) {
+        for (i64 k = 0; k < 3 * NU; k++)
+            if (psrc3[k] < NB) liveof[psrc3[k]] = k % NU;
+    } else {
+        for (i64 w = 0; w < nunit; w++) {
+            for (i64 j = 0; j < 4; j++)
+                if (inbuf[5 * w + j] < NB) liveof[inbuf[5 * w + j]] = w;
+            liveof[lqresp[w]] = liveof[lqreq[w]] = w;
+        }
+        /* a router's outputs are the contiguous ports
+           [portlo[w], portlo[w + 1]), routers in ascending order */
+        portlo[0] = 0;
+        for (i64 u = 0; u < NU; u++) portlo[mr5[u] / 5 + 1] = u + 1;
+    }
+    for (i64 w = 0; w < nunit; w++) livecnt[w] = 0;
+    for (i64 k = 0; k < nword; k++) livebit[k] = 0;
+    for (i64 b = 0; b < NB; b++)
+        if (occ[b] > 0) LIVE_ADD(b, occ[b]);
+    i64 ndirty = 0;
+    for (i64 col = 0; col < 2 * NPM; col++)
+        if (stgcnt[col] > 0) dirty[ndirty++] = col;
+    i64 mincd = cd[0];
+    for (i64 f = 1; f < NPM; f++) if (cd[f] < mincd) mincd = cd[f];
 
     while (cycle < end) {
         if (ks[K_NPKT] + 2 * NPM + 4 > ks[K_PKTCAP]) {
@@ -571,13 +688,12 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
         }
         /* quiet jump: nothing in flight, nothing staged or parked */
         if (ks[K_NETF] == 0 && ks[K_MEMC] == 0 && ks[K_LOCC] == 0 &&
-            ks[K_STGTOT] == 0 && ks[K_PENDTOT] == 0) {
-            i64 m = cd[0];
-            for (i64 f = 1; f < NPM; f++) if (cd[f] < m) m = cd[f];
-            i64 dt = m;
+            ndirty == 0 && ks[K_PENDTOT] == 0) {
+            i64 dt = mincd;
             if (dt > end - cycle) dt = end - cycle;
             if (dt > 1) {
                 for (i64 f = 0; f < NPM; f++) cd[f] -= dt - 1;
+                mincd -= dt - 1;
                 cycle += dt - 1;
             }
         }
@@ -593,7 +709,9 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 
             /* ---- propose: append rows in ascending port order ---- */
             if (kind == 0) {
-                for (i64 u = 0; u < NU; u++) {
+                for (i64 wi = 0; wi < nword; wi++)
+                for (u64 bits = livebit[wi]; bits; bits &= bits - 1) {
+                    const i64 u = (wi << 6) + __builtin_ctzll(bits);
                     i64 src;
                     if (sub == 1 && !fastp[u]) continue;
                     if (midv[u]) {
@@ -614,44 +732,44 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                     PROPOSE(u, src, d, p);
                 }
             } else {
-                /* one request pass per router: per direction, the mask
-                   of inputs whose head wants it (empty and claimed
-                   inputs ask for nothing), and per input the buffer it
-                   would leave; LOCAL offers lq_resp first */
-                i64 i = 0, rf = 0;
-                for (i64 r = 0; r < R; r++) {
-                    const i64 *rt = route;
-                    for (i64 v = 0; v < V; v++, rf++, rt += Pn) {
-                        i64 *m = req + i;
-                        m[0] = m[1] = m[2] = m[3] = m[4] = 0;
-                        for (i64 j = 0; j < 5; j++, i++) {
-                            i64 b = inbuf[i];
-                            if (j == 4)
-                                b = occ[lqresp[rf]] > 0 ? lqresp[rf] : lqreq[rf];
-                            if (occ[b] > 0 && !claim[i]) {
-                                m[rt[pdest[HEADPKT(b)]]] |= 1 << j;
-                                reqsrc[i] = b;
-                            }
+                /* per live router, one request pass: per direction,
+                   the mask of inputs whose head wants it (empty and
+                   claimed inputs ask for nothing), and per input the
+                   buffer it would leave; LOCAL offers lq_resp first.
+                   Then its outputs, in port order. */
+                i64 rbase = 0;  /* the first router of rf's replica */
+                for (i64 wi = 0; wi < nword; wi++)
+                for (u64 bits = livebit[wi]; bits; bits &= bits - 1) {
+                    const i64 rf = (wi << 6) + __builtin_ctzll(bits);
+                    while (rf - rbase >= V) rbase += V;
+                    const i64 *rt = route + (rf - rbase) * Pn;
+                    i64 m[5] = {0, 0, 0, 0, 0}, from[5] = {0, 0, 0, 0, 0};
+                    for (i64 j = 0, i = 5 * rf; j < 5; j++, i++) {
+                        i64 b = inbuf[i];
+                        if (j == 4)
+                            b = occ[lqresp[rf]] > 0 ? lqresp[rf] : lqreq[rf];
+                        if (occ[b] > 0 && !claim[i]) {
+                            m[rt[pdest[HEADPKT(b)]]] |= 1 << j;
+                            from[j] = b;
                         }
                     }
-                }
-                for (i64 u = 0; u < NU; u++) {
-                    i64 src, j = 0;
-                    if (lockv[u] >= 0) {
-                        src = csrc[u];
-                        if (occ[src] <= 0) continue;
-                    } else {
-                        /* first requester at or after the pointer */
-                        const i64 in0 = mr5[u];
-                        i64 m = req[in0 + mdir[u]];
-                        if (!m) continue;
-                        j = rrv[u];
-                        j += LOWBIT[((m >> j) | (m << (5 - j))) & 31];
-                        if (j >= 5) j -= 5;
-                        src = reqsrc[in0 + j];
+                    for (i64 u = portlo[rf]; u < portlo[rf + 1]; u++) {
+                        i64 src, j = 0;
+                        if (lockv[u] >= 0) {
+                            src = csrc[u];
+                            if (occ[src] <= 0) continue;
+                        } else {
+                            /* first requester at or after the pointer */
+                            i64 mu = m[mdir[u]];
+                            if (!mu) continue;
+                            j = rrv[u];
+                            j += LOWBIT[((mu >> j) | (mu << (5 - j))) & 31];
+                            if (j >= 5) j -= 5;
+                            src = from[j];
+                        }
+                        rowin[nrow] = j;
+                        PROPOSE(u, src, mdst[u], HEADPKT(src));
                     }
-                    rowin[nrow] = j;
-                    PROPOSE(u, src, mdst[u], HEADPKT(src));
                 }
             }
             if (!nrow) continue;
@@ -690,6 +808,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                 i64 s = rowsrc[k];
                 occ[s]--;
                 headv[s] = (headv[s] + 1) & smask;
+                LIVE_POP(s);
             }
             for (i64 k = 0; k < nrow; k++) {
                 if (!rowlive[k]) continue;
@@ -714,6 +833,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                     i64 pos = (headv[d] + occ[d]) & smask;
                     slots[(d << blog) + pos] = p;
                     occ[d]++;
+                    LIVE_ADD(d, 1);
                 }
                 /* wormhole state of the committing port */
                 if (kind == 0) {
@@ -797,8 +917,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             prt[p] = dpm * 2 + 1;
             i64 pos = (stghead[pm] + stgcnt[pm]) & stgmask;
             stgpid[pm * stgcap + pos] = p;
-            stgcnt[pm]++;
-            ks[K_STGTOT]++;
+            if (stgcnt[pm]++ == 0) dirty[ndirty++] = pm;
         }
         while (ks[K_LOCC] > 0 && locrdy[ks[K_LOCH] & mqmask] <= cycle) {
             i64 hh = ks[K_LOCH] & mqmask;
@@ -819,81 +938,95 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
            Bernoulli success: the read coin and the target follow it in
            the stream, then the draws of the next gap.  A parked pm's
            countdown is frozen, so its stream resumes the cycle after
-           the miss issues, as the object model's does. */
-        for (i64 f = 0; f < NPM; f++) {
-            u8 rd;
-            i64 tg;
-            if (pend[f]) {
-                if (outv[f] >= tlim) continue;
-                pend[f] = 0;
-                ks[K_PENDTOT]--;
-                rd = pendrd[f];
-                tg = pendtg[f];
-            } else {
-                if (--cd[f] != 0) continue;
-                u32 *mt = mtv + f * MT_STATE;
-                if (more[f]) {
-                    cd[f] = draw_gap(mt, rate, chunk, more + f);
-                    continue;
+           the miss issues, as the object model's does.  With nothing
+           parked and no countdown at 1 the cycle only counts down. */
+        if (ks[K_PENDTOT] == 0 && mincd > 1) {
+            for (i64 f = 0; f < NPM; f++) cd[f]--;
+            mincd--;
+        } else {
+            for (i64 f = 0; f < NPM; f++) {
+                u8 rd;
+                i64 tg;
+                if (pend[f]) {
+                    if (outv[f] >= tlim) continue;
+                    pend[f] = 0;
+                    ks[K_PENDTOT]--;
+                    rd = pendrd[f];
+                    tg = pendtg[f];
+                } else {
+                    if (--cd[f] != 0) continue;
+                    u32 *mt = mtv + f * MT_STATE;
+                    if (more[f]) {
+                        cd[f] = draw_gap(mt, missthr, chunk, more + f);
+                        continue;
+                    }
+                    rd = (u8)mt_bernoulli(mt, readthr);
+                    /* pool row: offset, length, getrandbits width; width
+                       0 is a selector that draws nothing for a lone
+                       target */
+                    const i64 *row = poolrow + 3 * pmloc[f];
+                    tg = pool[row[0] + (row[2] ? mt_below(mt, row[1], row[2]) : 0)];
+                    cd[f] = draw_gap(mt, missthr, chunk, more + f);
+                    if (outv[f] >= tlim) {
+                        pend[f] = 1;
+                        pendrd[f] = rd;
+                        pendtg[f] = tg;
+                        ks[K_PENDTOT]++;
+                        continue;
+                    }
                 }
-                rd = mt_res53(mt) < rfrac;
-                /* pool row: offset, length, getrandbits width; width 0
-                   is a selector that draws nothing for a lone target */
-                const i64 *row = poolrow + 3 * pmloc[f];
-                tg = pool[row[0] + (row[2] ? mt_below(mt, row[1], row[2]) : 0)];
-                cd[f] = draw_gap(mt, rate, chunk, more + f);
-                if (outv[f] >= tlim) {
-                    pend[f] = 1;
-                    pendrd[f] = rd;
-                    pendtg[f] = tg;
-                    ks[K_PENDTOT]++;
-                    continue;
+                outv[f]++;
+                i64 r = rofpm[f];
+                if (tg == pmloc[f]) {
+                    i64 t = (ks[K_LOCH] + ks[K_LOCC]) & mqmask;
+                    locrdy[t] = cycle + memlat;
+                    locpm[t] = f;
+                    ks[K_LOCC]++;
+                    liss[r]++;
+                } else {
+                    i64 p = ks[K_NPKT]++;
+                    pdest[p] = tg;
+                    psrcp[p] = pmloc[f];
+                    presp[p] = 0;
+                    pread[p] = rd;
+                    psize[p] = rd ? hdrsz : clsz;
+                    pissue[p] = cycle;
+                    prt[p] = tg * 2;
+                    remopen[f]++;
+                    i64 col = f + NPM;
+                    i64 pos = (stghead[col] + stgcnt[col]) & stgmask;
+                    stgpid[col * stgcap + pos] = p;
+                    if (stgcnt[col]++ == 0) dirty[ndirty++] = col;
+                    riss[r]++;
                 }
             }
-            outv[f]++;
-            i64 r = rofpm[f];
-            if (tg == pmloc[f]) {
-                i64 t = (ks[K_LOCH] + ks[K_LOCC]) & mqmask;
-                locrdy[t] = cycle + memlat;
-                locpm[t] = f;
-                ks[K_LOCC]++;
-                liss[r]++;
-            } else {
-                i64 p = ks[K_NPKT]++;
-                pdest[p] = tg;
-                psrcp[p] = pmloc[f];
-                presp[p] = 0;
-                pread[p] = rd;
-                psize[p] = rd ? hdrsz : clsz;
-                pissue[p] = cycle;
-                prt[p] = tg * 2;
-                remopen[f]++;
-                i64 col = f + NPM;
-                i64 pos = (stghead[col] + stgcnt[col]) & stgmask;
-                stgpid[col * stgcap + pos] = p;
-                stgcnt[col]++;
-                ks[K_STGTOT]++;
-                riss[r]++;
+            if (ks[K_PENDTOT] == 0) {
+                mincd = cd[0];
+                for (i64 f = 1; f < NPM; f++) if (cd[f] < mincd) mincd = cd[f];
             }
         }
-        /* drain staging while whole packets fit */
-        if (ks[K_STGTOT] > 0) {
-            for (i64 col = 0; col < 2 * NPM; col++) {
-                while (stgcnt[col] > 0) {
-                    i64 p = stgpid[col * stgcap + stghead[col]];
-                    i64 sz = psize[p];
-                    i64 q = stgq[col];
-                    if (stgqcap[col] - occ[q] < sz) break;
-                    stghead[col] = (stghead[col] + 1) & stgmask;
-                    stgcnt[col]--;
-                    ks[K_STGTOT]--;
-                    i64 tl = headv[q] + occ[q];
-                    for (i64 i = 0; i < sz; i++)
-                        slots[(q << blog) + ((tl + i) & smask)] = p;
-                    occ[q] += sz;
-                    ks[K_NETF] += sz;
-                }
+        /* drain staging while whole packets fit; no two columns share
+           an output queue, so the order columns are visited in is free */
+        for (i64 k = 0; k < ndirty;) {
+            i64 col = dirty[k];
+            while (stgcnt[col] > 0) {
+                i64 p = stgpid[col * stgcap + stghead[col]];
+                i64 sz = psize[p];
+                i64 q = stgq[col];
+                if (stgqcap[col] - occ[q] < sz) break;
+                stghead[col] = (stghead[col] + 1) & stgmask;
+                stgcnt[col]--;
+                i64 tl = headv[q] + occ[q];
+                for (i64 i = 0; i < sz; i++)
+                    slots[(q << blog) + ((tl + i) & smask)] = p;
+                occ[q] += sz;
+                LIVE_ADD(q, sz);
+                ks[K_NETF] += sz;
             }
+            if (stgcnt[col] == 0)
+                dirty[k] = dirty[--ndirty];
+            else
+                k++;
         }
 
         cycle++;

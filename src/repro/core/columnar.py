@@ -280,12 +280,10 @@ class ColumnarEngine:
             self._lvl_of = self._tiled(
                 [0 if chan else -1 for chan in plan.m_chan], L, none=R * L
             )
-            # Per (router, direction) the mask of inputs whose head
-            # requests it, per router input the buffer that head would
-            # leave, and per row the input that won.
-            self._k_req = _ints(NI)
-            self._k_req_src = _ints(NI)
+            # per row, the input that won; per router, its first output
+            # port (the kernel derives it from ``_m_router5``)
             self._k_row_in = _ints(NU)
+            self._k_port_lo = _ints(R * V + 1)
 
         NP_ = R * P
         self._np_ = NP_
@@ -313,7 +311,6 @@ class ColumnarEngine:
             "I",
             [(key >> 32 * w) & 0xFFFFFFFF for key in keys for w in range(self._key_words)],
         )
-        self._draw_p = array("d", [self.workload.miss_rate, self.workload.read_fraction])
 
         # Memory and local-completion pipelines: the service latency is
         # one constant, so ready times are non-decreasing in accept
@@ -327,8 +324,7 @@ class ColumnarEngine:
         self._k_loc_pm = _ints(mq)
         # Staging for packets waiting on output-queue space: responses
         # occupy columns [0, NP_), requests [NP_, 2*NP_) — the queues
-        # are independent, so draining every response column before any
-        # request column is the object model's responses-first order.
+        # are independent, so the order columns drain in cannot show.
         self._stgcap = _pow2(max(2, P * self._t_limit))
         self._stgmask = self._stgcap - 1
         self._stg_pid = _ints(2 * NP_ * self._stgcap)
@@ -339,6 +335,7 @@ class ColumnarEngine:
         for queues in (plan.out_resp, plan.out_req):
             self._stg_q += self._tiled_buffers(queues)
             self._stg_qcap += array("q", [plan.caps[q] for q in queues]) * R
+        self._k_stg_dirty = _ints(2 * NP_)
 
         # Packet table (flat, growable; row 0 is a reserved dummy).
         self._pkt_dest = _ints(_PKT_ROWS)
@@ -367,6 +364,13 @@ class ColumnarEngine:
         # Packets completed this cycle as (pm, packet) pairs: a PM
         # ejects at most one flit per subcycle.
         self._k_comp = _ints(2 * plan.subcycles * NP_)
+        # The kernel's live sets, rebuilt from the columns on every
+        # entry (units: ring ports, mesh routers): the unit reading each
+        # buffer, and per unit its flits and a live bit.
+        units = NU if self.kind == "ring" else R * self._routers_per_replica
+        self._k_live_of = _ints(NB + 1)
+        self._k_live_cnt = _ints(units)
+        self._k_live_bits = _ints((units + 63) // 64, code="Q")
 
         # Statistics: batch-scoped latency tallies + cumulative counters.
         self._rem_sum = _floats(R)
@@ -432,6 +436,8 @@ class ColumnarEngine:
         prm[PRM.MQ_MASK] = self._k_mq_mask
         prm[PRM.CHUNK] = LOOKAHEAD_CHUNK
         prm[PRM.KEY_WORDS] = self._key_words
+        prm[PRM.MISS_THR] = ckernel.bernoulli_threshold(self.workload.miss_rate)
+        prm[PRM.READ_THR] = ckernel.bernoulli_threshold(self.workload.read_fraction)
         self._k_build_ptrs()
         # both tables are only ever written in place
         self._k_args = (self._k_ptr, prm)
@@ -486,7 +492,6 @@ class ColumnarEngine:
             self._mt_key,
             self.plan.pool,
             self.plan.pool_row,
-            self._draw_p,
             self._pkt_dest,
             self._pkt_src,
             self._pkt_size,
@@ -525,11 +530,14 @@ class ColumnarEngine:
             self._k_drainer,
             self._k_filler,
             self._k_work,
-            dummy if ring else self._k_req,
-            dummy if ring else self._k_req_src,
             self._k_comp,
             self._cyc_prop,
             self._cyc_comm,
+            self._k_live_of,
+            self._k_live_cnt,
+            self._k_live_bits,
+            dummy if ring else self._k_port_lo,
+            self._k_stg_dirty,
             self._kstate,
         ]
         assert PTR.COUNT == len(cols)

@@ -47,7 +47,17 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     source.write_text(ckernel._SOURCE, encoding="utf-8")
     assert CC is not None
     proc = subprocess.run(
-        [CC, "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+        [
+            CC,
+            "-std=c99",
+            "-O2",
+            "-Wall",
+            "-Wextra",
+            "-Wvla",
+            "-Werror",
+            "-fsyntax-only",
+            str(source),
+        ],
         capture_output=True,
         text=True,
     )
@@ -58,7 +68,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 #: the kernel instrumented, then drive it through both fabrics, both
 #: flow controls, a double-speed ring (second subcycle), one-flit mesh
 #: buffers and 36-flit worms (long revocation chains and lock tenures),
-#: packet-table growth and a draw-chunk continuation.
+#: multi-word live sets (8 replicas of 96 ring ports / 64 mesh routers),
+#: a nearly idle network (quiet jumps; the live sets and the staging
+#: list run empty), parked columns (T=1 under load: generate's full
+#: sweep), packet-table growth and a draw-chunk continuation.
 _DRIVER = """
 from repro.core import ckernel
 
@@ -75,11 +88,13 @@ from repro.core.config import (
 from repro.core.processor import LOOKAHEAD_CHUNK
 
 
-def drive(system, miss_rate, cycles, seeds):
+def drive(system, miss_rate, cycles, seeds, outstanding=4):
     grown = False
     for flow_control in ("bypass", "conservative"):
         params = SimulationParams(scheduler="columnar", flow_control=flow_control)
-        workload = WorkloadConfig(locality=0.9, miss_rate=miss_rate, outstanding=4)
+        workload = WorkloadConfig(
+            locality=0.9, miss_rate=miss_rate, outstanding=outstanding
+        )
         engine = ColumnarEngine(system, workload, params, seeds)
         for _ in range(3):
             engine.run(cycles)
@@ -99,6 +114,13 @@ for system in (
 ):
     grown |= drive(system, 0.05, 400, range(1, 9))
 assert grown, "no batch outgrew the initial packet table"
+
+for system in (
+    RingSystemConfig(topology="2:4", cache_line_bytes=32),
+    MeshSystemConfig(side=3, cache_line_bytes=32),
+):
+    drive(system, 0.001, 2000, (1, 2))
+    drive(system, 0.3, 400, range(1, 9), outstanding=1)
 
 # A vanishing miss rate: first gaps that outrun the draw chunk, so those
 # countdowns end a run of failures and the column must draw again.

@@ -95,8 +95,8 @@ def kernel_runs(monkeypatch):
 
 
 def on_both_paths(system, workload, params, monkeypatch):
-    """Seeds 7 and 8 on the C kernel, then with the kernel switched off
-    (each seed alone under ``compiled``)."""
+    """Seeds 7 and 8 on the C kernel, then with the kernel switched off,
+    which runs each seed alone under ``compiled``."""
     kernel = simulate_columnar(system, workload, params, seeds=(7, 8))
     monkeypatch.setenv("REPRO_COLUMNAR_KERNEL", "0")
     fallback = simulate_columnar(system, workload, params, seeds=(7, 8))
@@ -144,8 +144,10 @@ def test_seed_results_independent_of_batch_composition(system):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_c_kernel_matches_numpy_path(system, monkeypatch):
     """The kernel is an execution detail: switching it off
-    (REPRO_COLUMNAR_KERNEL=0 runs ``compiled``; the numpy stepping path
-    the id remembers is gone) must reproduce the same bytes."""
+    (REPRO_COLUMNAR_KERNEL=0 runs ``compiled``) must reproduce the same
+    bytes.  The ``numpy_path`` in this test's name and the three below
+    is the stepping path the kernel replaced; the no-kernel route they
+    compare with has been ``compiled`` since."""
     kernel, fallback = on_both_paths(system, WORKLOAD, PARAMS, monkeypatch)
     assert payloads(kernel) == payloads(fallback)
     assert [r.params.scheduler for r in fallback] == ["columnar", "columnar"]
@@ -328,6 +330,33 @@ def test_kernel_matches_compiled_over_memory_and_read_mix(
     workload = replace(WORKLOAD, read_fraction=read_fraction)
     for system in (RING, MESH):
         system = replace(system, memory_latency=memory_latency)
+        assert_batch_is_compiled(system, workload, replace(PARAMS, batch_cycles=200))
+
+
+@pytest.mark.parametrize("outstanding", [1, 4])
+@pytest.mark.parametrize("miss_rate", [0.001, 0.3])
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(RingSystemConfig(topology="3:3:8", cache_line_bytes=32), id="ring-3:3:8"),
+        pytest.param(MeshSystemConfig(side=8, cache_line_bytes=32), id="mesh-8x8"),
+    ],
+)
+def test_kernel_matches_compiled_on_multi_word_live_sets(system, miss_rate, outstanding):
+    """Eight replicas put 768 ring ports / 512 mesh routers in the
+    kernel's live bitmap: twelve and eight 64-bit words, walked lowest
+    bit first, emptied out at C=0.001 and held full at C=0.3."""
+    workload = WorkloadConfig(miss_rate=miss_rate, outstanding=outstanding)
+    params = replace(PARAMS, batch_cycles=200, batches=2)
+    assert_batch_is_compiled(system, workload, params, seeds=tuple(range(1, 9)))
+
+
+def test_kernel_matches_compiled_at_exact_thresholds():
+    """A miss rate and a read fraction that are multiples of 2**-53:
+    ``random() < p`` is decided by a tie on the threshold's high bits
+    followed by the low word's ``b < 0``."""
+    workload = replace(WORKLOAD, miss_rate=0.0625, read_fraction=0.5)
+    for system in (RING, MESH):
         assert_batch_is_compiled(system, workload, replace(PARAMS, batch_cycles=200))
 
 
