@@ -1,12 +1,12 @@
 """Ambient on/off switch for the runtime invariant auditor.
 
-Mirrors :mod:`repro.core.profiling`: the engine's hot loop pays nothing
-while auditing is off — at finalize time the engine asks
-:func:`current` once and installs the plain step function unless an
-:class:`~repro.audit.invariants.Auditor` has been installed via
-:func:`enable`, in which case it swaps in the instrumented step it
-shares with the profiler (a separate function, so the plain paths carry
-zero audit branches).
+Mirrors :mod:`repro.core.profiling`: at finalize time the engine asks
+:func:`current` once and attaches the
+:class:`~repro.audit.invariants.Auditor` installed via :func:`enable`,
+if any; its one cycle step (``Engine._step``, shared with the profiler)
+then calls the auditor's checks between phases.  Off, that is an
+``is not None`` test per check site (the cost of the step's mode
+branches is in :mod:`repro.core.engine`).
 
 Auditing is process-local ambient state, exactly like profiling: it
 only observes engines *finalized* while it is enabled, so the

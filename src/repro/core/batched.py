@@ -56,18 +56,11 @@ active-set entries.
 
 from __future__ import annotations
 
-from heapq import heappop
-from typing import TYPE_CHECKING
-
 import numpy as np
 from numpy.typing import NDArray
 
-from . import profiling
 from .engine import Engine
 from .errors import DeadlockError, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, no cycle
-    from ..audit.invariants import Auditor
 
 
 class BatchedEngine(Engine):
@@ -102,7 +95,7 @@ class BatchedEngine(Engine):
         self._rep_of_owner: NDArray[np.intp] = np.zeros(0, dtype=np.intp)
         #: Committed transfers per replica (per-replica ``flits_moved``).
         self.replica_flits: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
-        # Per-cycle watchdog columns, reset by _watchdog_batched.
+        # Per-cycle watchdog columns, reset by _watchdog.
         self._rep_proposed: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
         self._rep_committed: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
         self._rep_stalled: NDArray[np.int64] = np.zeros(0, dtype=np.int64)
@@ -149,8 +142,8 @@ class BatchedEngine(Engine):
     def _finalize(self) -> None:
         super()._finalize()
         # An engine with no components is a batch of zero replicas: the
-        # step below runs (and trivially does nothing), matching a plain
-        # empty Engine.
+        # step runs (and trivially does nothing), matching a plain empty
+        # Engine.
         replicas = self.replicas
         self._rep_of_owner = np.fromiter(
             (self.replica_of(index) for index in range(len(self.components))),
@@ -161,24 +154,24 @@ class BatchedEngine(Engine):
         self._rep_proposed = np.zeros(replicas, dtype=np.int64)
         self._rep_committed = np.zeros(replicas, dtype=np.int64)
         self._rep_stalled = np.zeros(replicas, dtype=np.int64)
-        # One mode-generic step replaces whichever step the base class
-        # installed: the per-cycle audit/profile branches it carries are
-        # amortized across the whole batch, unlike the solo schedulers
-        # where branch-free variants measurably matter.
-        self._step_fn = self._step_batched
 
     # ------------------------------------------------------------------
-    # replica-axis tally
+    # replica-axis tally and watchdog (the only parts of a cycle that
+    # differ from the compiled scheduler's Engine._step)
     # ------------------------------------------------------------------
-    def _tally_rows(self, n: int) -> int:
+    def _resolve_compiled(self) -> None:
+        """Resolve, then attribute the subcycle's rows to replicas."""
+        super()._resolve_compiled()
+        self._tally_rows(self._p_n[0])
+
+    def _tally_rows(self, n: int) -> None:
         """Attribute this subcycle's *n* proposal rows to replicas.
 
         Vectorized over the replica axis: one gather through
         ``_rep_of_owner`` plus two ``bincount`` reductions, instead of a
         per-row Python loop.  The ``_p_live`` column is copied out first
         (``bytes`` of the live prefix) so numpy never holds a buffer
-        export on the growable bytearray.  Returns the total commit
-        count, which the caller cross-checks against the commit loop.
+        export on the growable bytearray.
         """
         replicas = self._rep_of_owner[np.asarray(self._p_owner[:n], dtype=np.intp)]
         live = np.frombuffer(bytes(self._p_live[:n]), dtype=np.uint8)
@@ -189,17 +182,18 @@ class BatchedEngine(Engine):
         self._rep_proposed += proposed
         self._rep_committed += committed
         self.replica_flits += committed
-        return int(committed.sum())
 
-    def _watchdog_batched(self, proposed_any: bool) -> None:
+    def _watchdog(self, proposed: int, committed: int) -> None:
         """Vectorized per-replica twin of :meth:`Engine._watchdog`.
 
         A replica's stall counter advances exactly when *it* proposed
         and nothing of *its* committed this cycle — the same condition
         its solo run evaluates — so a wedged replica raises at the same
-        cycle with the same count, regardless of batch mates.
+        cycle with the same count, regardless of batch mates.  The
+        batch-wide *committed* total is not needed: the per-replica
+        counts come from :meth:`_tally_rows`.
         """
-        if not proposed_any:
+        if not proposed:
             # No proposals anywhere: every replica's counter resets
             # (solo semantics: proposed == 0 resets).  Skip the vector
             # ops entirely unless a counter is actually live.
@@ -225,83 +219,6 @@ class BatchedEngine(Engine):
             # across schedulers.
             detail = f"replica {replica} of {total}" if total > 1 else ""
             raise DeadlockError(self.cycle, int(stalled[replica]), detail=detail)
-
-    # ------------------------------------------------------------------
-    # clocking
-    # ------------------------------------------------------------------
-    def _step_batched(self) -> None:
-        """One lockstep base cycle across every replica.
-
-        Mode-generic mirror of :meth:`Engine._step_compiled` (audit and
-        profile branches included, like :meth:`Engine._step_instrumented`)
-        plus the replica-axis tally
-        between resolve and commit and the vectorized watchdog at cycle
-        end.  The order of every call into components is identical to
-        the compiled scheduler's over the merged component list.
-        """
-        aud: "Auditor | None" = self._auditor
-        prof: profiling.PhaseProfile | None = (
-            None if aud is not None else self._profile
-        )
-        cycle = self.cycle
-        timers = self._timers
-        if timers and timers[0][0] <= cycle:
-            active_upd = self._active_upd
-            timer_at = self._timer_at
-            while timers and timers[0][0] <= cycle:
-                fired, index = heappop(timers)
-                active_upd.add(index)
-                if timer_at[index] == fired:
-                    timer_at[index] = 0
-            self._upd_dirty = True
-        proposed_any = False
-        prop_fns = self._prop_fns
-        p_n = self._p_n
-        for subcycle in range(self._subcycles):
-            if prof is not None:
-                prof.begin()
-            if self._prop_dirty:
-                self._prop_order = order = sorted(self._active_prop)
-                self._prop_fn_order = [prop_fns[index] for index in order]
-                self._prop_dirty = False
-            if subcycle == 0:
-                for fn in self._prop_fn_order:
-                    fn(self)
-            else:
-                speed2 = self._prop_speed2
-                for index in self._prop_order:
-                    if speed2[index]:
-                        prop_fns[index](self)
-            if prof is not None:
-                prof.lap("batched", "propose")
-            n = p_n[0]
-            if n:
-                proposed_any = True
-                if aud is not None:
-                    aud.check_proposals(self)
-                self._resolve_compiled()
-                self._tally_rows(n)
-                if prof is not None:
-                    prof.lap("batched", "resolve")
-                survivors = aud.check_resolution(self) if aud is not None else None
-                committed = self._commit_compiled()
-                p_n[0] = 0
-                p_n[1] += n  # invalidate this subcycle's prop_of_* entries
-                if prof is not None:
-                    prof.lap("batched", "commit")
-                if aud is not None:
-                    assert survivors is not None
-                    aud.check_commit(self, survivors, committed)
-        if prof is not None:
-            prof.begin()
-        self._update_compiled(cycle)
-        if prof is not None:
-            prof.lap("batched", "update")
-            prof.count_cycle("batched")
-        self.cycle = cycle + 1
-        if aud is not None:
-            aud.check_cycle_end(self)
-        self._watchdog_batched(proposed_any)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -38,13 +38,14 @@ base cycles.
 Scheduling
 ----------
 
-Three schedulers drive the same propose/resolve/commit machinery here.
-Two more live elsewhere: ``"batched"`` (:mod:`repro.core.batched`)
-subclasses this engine to run N replica networks in lockstep over the
-compiled datapath, with per-replica flit tallies and deadlock
-watchdogs, and ``"columnar"`` (:mod:`repro.core.columnar`) steps flat
-columns in a C kernel that reproduces this engine's results byte for
-byte without using it:
+Three schedulers drive the same propose/resolve/commit machinery here,
+through one cycle step (:meth:`Engine._step`).  Two more live
+elsewhere: ``"batched"`` (:mod:`repro.core.batched`) subclasses this
+engine to run N replica networks in lockstep over the compiled
+datapath, overriding only the resolve (a per-replica flit tally) and
+the deadlock watchdog (one per replica), and ``"columnar"``
+(:mod:`repro.core.columnar`) steps flat columns in a C kernel that
+reproduces this engine's results byte for byte without using it:
 
 * ``"naive"`` scans every component every subcycle and runs every
   ``update`` every cycle — the straightforward implementation;
@@ -76,15 +77,25 @@ byte without using it:
   (:meth:`Component.compiled_propose_handler`): a flat closure, built
   once at finalize, that performs the component's send arbitration
   and writes the proposal row directly into the engine's columns —
-  no per-proposal engine call at all.  Both switching components
-  provide one: :class:`~repro.ring.port.RingPort` (transit-first
-  pick, continuation ids stashed at head commit) and
-  :class:`~repro.mesh.router.MeshRouter` (one request word per cycle
-  from shared next-hop rows, round-robin grants from a table).  Under
-  saturation — every
-  component awake, tens of proposals per cycle — this removes the
-  object churn and call overhead that dominate the ``"active"``
-  profile.
+  no per-proposal engine call at all — and a *fused update handler*
+  (:meth:`Component.compiled_update_handler`).  Both switching
+  components provide a propose closure:
+  :class:`~repro.ring.port.RingPort` (transit-first pick, continuation
+  ids stashed at head commit) and :class:`~repro.mesh.router.MeshRouter`
+  (one request word per cycle from shared next-hop rows, round-robin
+  grants from a table).  Under saturation — every component awake,
+  tens of proposals per cycle — this removes the object churn and call
+  overhead that dominate the ``"active"`` profile.
+
+Every mode runs the same step; the modes differ in the tables finalize
+builds (which propose callables, which update closures) and in a few
+branches per subcycle — which resolver and commit loop, and whether a
+:class:`~repro.core.profiling.PhaseProfile` or an auditor is attached.
+Against separate branch-free copies of the compiled step, those
+branches cost +0.1 % (ring 3:3:8) and +0.7 % (8×8 mesh of 4-flit
+buffers) at C=0.04, and +2.3 % / +1.9 % at C=0.002, where a cycle
+does less work: medians of nine alternating runs of 3×1000 cycles at
+T=4 (2 CPUs, Python 3.11).
 
 The schedulers are behavior-identical: active sets are iterated in
 component-registration order, sleeping is only allowed when the naive
@@ -213,7 +224,7 @@ class Component:
         replaces its :meth:`propose` in the compiled proposal loop: the
         closure performs the same arbitration and writes the proposal
         row directly into the engine's parallel columns (see
-        :meth:`Engine.propose_fast` for the row layout).  Because the
+        :meth:`Engine._propose_compiled` for the row layout).  Because the
         closure is built against a specific, already-validated wiring,
         it may elide the engine's per-proposal structural checks
         (head-of-buffer, one drain per source, one fill per bounded
@@ -311,9 +322,9 @@ class Engine:
 
     ``scheduler`` selects the component visitation strategy (see the
     module docstring): ``"compiled"`` (default), ``"active"`` or
-    ``"naive"``.  All three are behavior-identical; the slower ones are
-    kept for the equivalence tests and the scheduler-ladder cells of
-    ``bench/``.  ``"columnar"`` — the kernel tier, which has no Engine
+    ``"naive"``.  All three are behavior-identical and run the one
+    cycle step :meth:`_step`; the slower ones are kept for the
+    equivalence tests and the scheduler-ladder cells of ``bench/``.  ``"columnar"`` — the kernel tier, which has no Engine
     of its own — is accepted as an alias of ``"compiled"``, the engine
     that tier falls back to.
 
@@ -354,11 +365,12 @@ class Engine:
         self._finalized = False
         self._active_mode = scheduler in ("active", "compiled")
         self._compiled = scheduler == "compiled"
-        # Active-set state (used only by the "active" scheduler).  The
-        # sets hold component registration indices; the `_order` lists
-        # cache their sorted iteration order (component order — shared
-        # with the naive scan so metric-recording order is identical)
-        # and are rebuilt lazily when a `_dirty` flag is raised.
+        # Active-set state (the naive scheduler's propose set is simply
+        # every component, and its update set is unused).  The sets
+        # hold component registration indices; the `_order` lists cache
+        # their sorted iteration order (component order — shared with
+        # the naive scan so metric-recording order is identical) and are
+        # rebuilt lazily when a `_dirty` flag is raised.
         self._active_prop: set[int] = set()
         self._active_upd: set[int] = set()
         self._prop_order: list[int] = []
@@ -367,15 +379,19 @@ class Engine:
         self._upd_dirty = True
         self._timers: list[tuple[int, int]] = []  # heap of (cycle, index)
         self._timer_at: list[int] = []  # earliest live heap entry per index
-        self._sweep_at = 0  # rate limit for the compiled idle-set sweep
+        # Quiet-cycle sweep rate limit (see `_update`): a compiled
+        # propose closure makes an idle-but-awake proposer nearly free,
+        # so `compiled` sweeps at most every 8th quiet cycle; the object
+        # path's plain `propose` is not free (an 8x8 mesh at C=0.002
+        # runs 18 % slower under `active` with the limit), so `active`
+        # sweeps on every quiet cycle.
+        self._sweep_gap = 8 if self._compiled else 1
+        self._sweep_at = 0  # next cycle a quiet update set may sweep
         # per-component: ((output buffer, proposer indices), ...) pairs
-        # checked after its update() for injection that bypasses commit
+        # checked after its update() for injection that bypasses commit;
+        # empty for fused handlers that wake those proposers themselves
+        # (see Component.compiled_update_self_wakes)
         self._upd_out_wakes: list[tuple[tuple[FlitBuffer, tuple[int, ...]], ...]] = []
-        # compiled twin of `_upd_out_wakes` with self-waking fused
-        # handlers' entries emptied (see Component.compiled_update_self_wakes)
-        self._upd_out_wakes_compiled: list[
-            tuple[tuple[FlitBuffer, tuple[int, ...]], ...]
-        ] = []
         # ------------------------------------------------------------------
         # Compiled-datapath state (used only by the "compiled" scheduler).
         # Buffers and channels get dense ids on first use; proposals are
@@ -425,6 +441,8 @@ class Engine:
         self._work: list[int] = []
         self._owner_handlers: list[CommitHandler | None] = []
         self._owner_ht_only = bytearray()  # commit_on_head_tail_only flags
+        # Per-component propose entry points (every scheduler) and their
+        # active-order copy, rebuilt with `_prop_order`.
         self._prop_fns: list[Callable[[Engine], None]] = []
         self._prop_fn_order: list[Callable[[Engine], None]] = []
         self._prop_speed2 = bytearray()  # speed == 2 flags by index
@@ -432,12 +450,12 @@ class Engine:
         self._upd_pairs: list[
             tuple[Callable[[Engine], None], Callable[[Engine], int | None]]
         ] = []
-        # per-component fused update closures (None = use _upd_pairs)
+        # per-component fused update closures (None = use _upd_pairs;
+        # always None outside the compiled scheduler)
         self._upd_fused: list[Callable[[int], int | None] | None] = []
         self._shim: Transfer | None = None  # lazy compatibility Transfer
         self._profile: profiling.PhaseProfile | None = None
         self._auditor: "Auditor | None" = None
-        self._step_fn: Callable[[], None] = self._step
         if self._compiled:
             # Rebind the proposal entry point once instead of branching
             # per call: components always call `engine.propose(...)`;
@@ -466,45 +484,40 @@ class Engine:
         if unsupported:
             raise SimulationError(f"unsupported component speeds: {sorted(unsupported)}")
         self._subcycles = 2 if 2 in speeds else 1
+        components = self.components
         if self._active_mode:
             self._finalize_active_sets()
+        else:
+            # The naive scan proposes everyone: its propose set starts
+            # full and is never swept, so `_step` walks all components.
+            self._active_prop = set(range(len(components)))
         if self._compiled:
             self._owner_handlers = [
-                self._commit_handler_for(component) for component in self.components
+                self._commit_handler_for(component) for component in components
             ]
             self._owner_ht_only = bytearray(
-                component.commit_on_head_tail_only for component in self.components
+                component.commit_on_head_tail_only for component in components
             )
-            # Per-component propose entry points: the component's own
-            # compiled closure when it provides one, else its plain
-            # `propose` through the engine's validating shim.  Built
-            # after `_finalize_active_sets` so closures can rely on
+            # The component's own compiled propose closure when it
+            # provides one, else its plain `propose` through the
+            # engine's validating shim.  Built after
+            # `_finalize_active_sets` so closures can rely on
             # `_engine_index` being assigned.
             self._prop_fns = [
                 component.compiled_propose_handler(self) or component.propose
-                for component in self.components
-            ]
-            self._prop_speed2 = bytearray(
-                component.speed == 2 for component in self.components
-            )
-            self._upd_pairs = [
-                (component.update, component.next_update_cycle)
-                for component in self.components
+                for component in components
             ]
             self._upd_fused = [
-                component.compiled_update_handler(self)
-                for component in self.components
+                component.compiled_update_handler(self) for component in components
             ]
             # Fused handlers that wake their output-buffer readers at the
-            # push site don't need the post-update scan; empty their
-            # entries in a compiled-only copy (the active scheduler keeps
-            # the eager scan in `_upd_out_wakes`).
-            self._upd_out_wakes_compiled = [
+            # push site don't need the post-update scan.
+            self._upd_out_wakes = [
                 ()
                 if fused is not None and component.compiled_update_self_wakes
                 else wakes
                 for component, fused, wakes in zip(
-                    self.components, self._upd_fused, self._upd_out_wakes
+                    components, self._upd_fused, self._upd_out_wakes
                 )
             ]
             # Buffers registered before finalize (direct propose calls
@@ -515,6 +528,13 @@ class Engine:
                 self._wake_push_prop[bid] = None if pair is None else pair[0]
                 self._wake_push_upd[bid] = None if pair is None else pair[1]
                 self._wake_pop_upd[bid] = buffer._wake_on_pop
+        else:
+            self._prop_fns = [component.propose for component in components]
+            self._upd_fused = [None] * len(components)
+        self._prop_speed2 = bytearray(component.speed == 2 for component in components)
+        self._upd_pairs = [
+            (component.update, component.next_update_cycle) for component in components
+        ]
         self._profile = profiling.current()
         # Local import: repro.audit.runtime is leaf-level (it pulls in
         # nothing from the simulator), so this is cycle-proof and costs
@@ -524,14 +544,6 @@ class Engine:
         self._auditor = audit_runtime.current()
         if self._auditor is not None:
             self._auditor.attach(self)
-        if self._auditor is not None or self._profile is not None:
-            # Auditing takes precedence over profiling: an audited step
-            # carries no phase timers (its checks would dominate them).
-            self._step_fn = self._step_instrumented
-        elif self._compiled:
-            self._step_fn = (
-                self._step_compiled1 if self._subcycles == 1 else self._step_compiled
-            )
         self._finalized = True
 
     def _commit_handler_for(self, component: Component) -> CommitHandler | None:
@@ -727,12 +739,15 @@ class Engine:
         """Compatibility shim bound over :meth:`propose` when compiled.
 
         Resolves (lazily assigning on first sight) the dense ids of the
-        endpoints, then writes the proposal row — the same validation,
-        in the same order, as :meth:`propose_fast`, inlined here because
-        this shim *is* the proposal hot path and a second call per
-        proposal measurably shows at saturation.  The identity checks
-        guard against ids assigned by a different engine: a buffer
-        carrying a stale id is simply re-registered here.
+        endpoints, then writes the proposal row after the same
+        validation, in the same order, as the object-path
+        :meth:`propose`.  The row layout: ``_p_flit`` / ``_p_src`` /
+        ``_p_dst`` / ``_p_chan`` / ``_p_owner`` hold the flit, the
+        source and destination buffer ids, the channel id (-1 = none)
+        and the owner's registration index; ``_p_live`` starts at 1.
+        The identity checks guard against ids assigned by a different
+        engine: a buffer carrying a stale id is simply re-registered
+        here.
         """
         buf_objs = self._buf_objs
         src = source._buf_id
@@ -754,7 +769,7 @@ class Engine:
                 f"proposal owner {owner!r} is not a registered component "
                 f"of this engine"
             )
-        # --- row write; keep in lockstep with propose_fast ---
+        # --- row write; the compiled propose closures mirror it ---
         flits = source._flits
         if not flits or flits[0] is not flit:
             raise SimulationError(
@@ -793,58 +808,6 @@ class Engine:
                 self._work.append(n)  # full dest: revocation candidate
         p_n[0] = n + 1
 
-    def propose_fast(
-        self, flit: Flit, src: int, dst: int, chan: int, owner: int
-    ) -> None:
-        """Register one proposal as an index row (compiled scheduler).
-
-        ``src``/``dst`` are buffer ids, ``chan`` a channel id or -1,
-        ``owner`` the component's registration index.  Performs the same
-        validation, in the same order, as the object-path
-        :meth:`propose`.
-        """
-        buf_objs = self._buf_objs
-        flits = buf_objs[src]._flits
-        if not flits or flits[0] is not flit:
-            raise SimulationError(
-                f"component proposed non-head flit {flit!r} "
-                f"from {buf_objs[src].name!r}"
-            )
-        p_n = self._p_n
-        n, base = p_n
-        prop_of_src = self._prop_of_src
-        if prop_of_src[src] >= base:
-            raise SimulationError(
-                f"two transfers source from buffer {buf_objs[src].name!r}"
-            )
-        cap = self._buf_cap[dst]
-        if cap >= 0 and self._prop_of_dst[dst] >= base:
-            raise SimulationError(
-                f"two transfers target bounded buffer {buf_objs[dst].name!r}"
-            )
-        p_flit = self._p_flit
-        if n == len(p_flit):
-            p_flit.append(flit)
-            self._p_src.append(src)
-            self._p_dst.append(dst)
-            self._p_chan.append(chan)
-            self._p_owner.append(owner)
-            self._p_live.append(1)
-            self._p_srcbuf.append(None)
-        else:
-            p_flit[n] = flit
-            self._p_src[n] = src
-            self._p_dst[n] = dst
-            self._p_chan[n] = chan
-            self._p_owner[n] = owner
-            self._p_live[n] = 1
-        prop_of_src[src] = base + n
-        if cap >= 0:
-            self._prop_of_dst[dst] = base + n
-            if len(buf_objs[dst]._flits) >= cap:
-                self._work.append(n)  # full dest: revocation candidate
-        p_n[0] = n + 1
-
     # ------------------------------------------------------------------
     # clocking
     # ------------------------------------------------------------------
@@ -853,7 +816,7 @@ class Engine:
         if not self._finalized:
             self._finalize()
         try:
-            self._step_fn()
+            self._step()
         finally:
             if self._compiled:
                 self._flush_channel_counts()
@@ -861,11 +824,11 @@ class Engine:
     def run(self, cycles: int) -> None:
         if not self._finalized:
             self._finalize()
-        step_fn = self._step_fn
+        step = self._step
         try:
             if not self._active_mode:
                 for __ in range(cycles):
-                    step_fn()
+                    step()
                 return
             end = self.cycle + cycles
             timers = self._timers
@@ -881,7 +844,7 @@ class Engine:
                     if target > self.cycle:
                         self.cycle = target
                         continue
-                step_fn()
+                step()
         finally:
             # The compiled commit loop batches channel utilization into
             # `_chan_counts`; make the deltas visible on the Channel
@@ -900,58 +863,28 @@ class Engine:
                 counts[cid] = 0
 
     def _step(self) -> None:
-        cycle = self.cycle
-        active = self._active_mode
-        if active:
-            timers = self._timers
-            if timers and timers[0][0] <= cycle:
-                active_upd = self._active_upd
-                timer_at = self._timer_at
-                while timers and timers[0][0] <= cycle:
-                    fired, index = heappop(timers)
-                    active_upd.add(index)
-                    if timer_at[index] == fired:
-                        timer_at[index] = 0
-                self._upd_dirty = True
-        committed_this_cycle = 0
-        proposed_this_cycle = 0
-        components = self.components
-        transfers = self._transfers
-        for subcycle in range(self._subcycles):
-            if active:
-                if self._prop_dirty:
-                    self._prop_order = sorted(self._active_prop)
-                    self._prop_dirty = False
-                if subcycle == 0:
-                    for index in self._prop_order:
-                        components[index].propose(self)
-                else:
-                    for index in self._prop_order:
-                        component = components[index]
-                        if component.speed == 2:
-                            component.propose(self)
-            else:
-                for component in components:
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            if transfers:
-                proposed_this_cycle += len(transfers)
-                self._resolve()
-                committed_this_cycle += self._commit()
-                self._pool.extend(transfers)
-                transfers.clear()
-                self._by_source.clear()
-                self._by_dest.clear()
-        if active:
-            self._update_active(cycle)
-        else:
-            for component in components:
-                component.update(self)
-        self.cycle = cycle + 1
-        self._watchdog(proposed_this_cycle, committed_this_cycle)
+        """One base cycle, for every scheduler (see the module docstring).
 
-    def _step_compiled(self) -> None:
-        """One base cycle over the compiled datapath (active sets on)."""
+        The modes differ only in what the phases below walk: the naive
+        propose set is every component and its update runs every
+        component; ``active`` and ``compiled`` walk their active sets;
+        ``compiled`` proposes through rows and finalize-built closures
+        and resolves and commits over the rows.  A
+        :class:`repro.core.profiling.PhaseProfile` brackets each
+        propose / resolve / commit / update phase; an
+        :class:`repro.audit.Auditor` (which wins when both are active:
+        its checks would dominate the timers) only *reads* engine and
+        component state at four points: after propose (structural and
+        priority checks on the proposal set), after resolve (fixed-point
+        validity and maximality, wormhole contiguity), after commit
+        (conservation of the commit count, route/lock state), and after
+        update (buffer/channel/global flit conservation, transaction
+        lifecycle).  Neither changes the order of any call into a
+        component.
+        """
+        aud = self._auditor
+        prof = None if aud is not None else self._profile
+        sched = self.scheduler
         cycle = self.cycle
         timers = self._timers
         if timers and timers[0][0] <= cycle:
@@ -963,11 +896,15 @@ class Engine:
                 if timer_at[index] == fired:
                     timer_at[index] = 0
             self._upd_dirty = True
-        committed_this_cycle = 0
-        proposed_this_cycle = 0
+        compiled = self._compiled
+        transfers = self._transfers
         prop_fns = self._prop_fns
         p_n = self._p_n
+        proposed_this_cycle = 0
+        committed_this_cycle = 0
         for subcycle in range(self._subcycles):
+            if prof is not None:
+                prof.begin()
             if self._prop_dirty:
                 self._prop_order = order = sorted(self._active_prop)
                 self._prop_fn_order = [prop_fns[index] for index in order]
@@ -980,130 +917,6 @@ class Engine:
                 for index in self._prop_order:
                     if speed2[index]:
                         prop_fns[index](self)
-            n = p_n[0]
-            if n:
-                proposed_this_cycle += n
-                self._resolve_compiled()
-                committed_this_cycle += self._commit_compiled()
-                p_n[0] = 0
-                p_n[1] += n  # invalidate this subcycle's prop_of_* entries
-        self._update_compiled(cycle)
-        self.cycle = cycle + 1
-        self._watchdog(proposed_this_cycle, committed_this_cycle)
-
-    def _step_compiled1(self) -> None:
-        """Single-subcycle twin of :meth:`_step_compiled`.
-
-        Installed by ``_finalize`` when no double-speed component exists
-        (the common case): the subcycle loop, the speed filter and the
-        watchdog call collapse into straight-line code.  Behavior is
-        identical to :meth:`_step_compiled` with ``_subcycles == 1``.
-        """
-        cycle = self.cycle
-        timers = self._timers
-        if timers and timers[0][0] <= cycle:
-            active_upd = self._active_upd
-            timer_at = self._timer_at
-            while timers and timers[0][0] <= cycle:
-                fired, index = heappop(timers)
-                active_upd.add(index)
-                if timer_at[index] == fired:
-                    timer_at[index] = 0
-            self._upd_dirty = True
-        if self._prop_dirty:
-            self._prop_order = order = sorted(self._active_prop)
-            self._prop_fn_order = [self._prop_fns[index] for index in order]
-            self._prop_dirty = False
-        for fn in self._prop_fn_order:
-            fn(self)
-        p_n = self._p_n
-        n = p_n[0]
-        committed = 0
-        if n:
-            self._resolve_compiled()
-            committed = self._commit_compiled()
-            p_n[0] = 0
-            p_n[1] += n  # invalidate this subcycle's prop_of_* entries
-        self._update_compiled(cycle)
-        self.cycle = cycle + 1
-        # watchdog, inlined
-        if n > 0 and committed == 0:
-            self._stalled_cycles += 1
-            if self._stalled_cycles >= self.deadlock_threshold:
-                raise DeadlockError(self.cycle, self._stalled_cycles)
-        else:
-            self._stalled_cycles = 0
-
-    def _step_instrumented(self) -> None:
-        """One base cycle with phase timers or invariant checks between phases.
-
-        A mode-generic mirror of :meth:`_step` / :meth:`_step_compiled`
-        installed by ``_finalize`` when a
-        :class:`repro.core.profiling.PhaseProfile` or an
-        :class:`repro.audit.Auditor` is active (the auditor wins when
-        both are).  It is a separate function so the plain hot loops
-        carry no instrumentation branches at all; behavior — the order
-        of every call into components — is identical to the plain steps.
-        The profile brackets each propose / resolve / commit / update
-        phase; the auditor only *reads* engine and component state at
-        four points per subcycle/cycle: after propose (structural and
-        priority checks on the proposal set), after resolve (fixed-point
-        validity and maximality, wormhole contiguity), after commit
-        (conservation of the commit count, route/lock state), and after
-        update (buffer/channel/global flit conservation, transaction
-        lifecycle).
-        """
-        aud = self._auditor
-        prof = None if aud is not None else self._profile
-        sched = self.scheduler
-        cycle = self.cycle
-        active = self._active_mode
-        compiled = self._compiled
-        if active:
-            timers = self._timers
-            if timers and timers[0][0] <= cycle:
-                active_upd = self._active_upd
-                timer_at = self._timer_at
-                while timers and timers[0][0] <= cycle:
-                    fired, index = heappop(timers)
-                    active_upd.add(index)
-                    if timer_at[index] == fired:
-                        timer_at[index] = 0
-                self._upd_dirty = True
-        committed_this_cycle = 0
-        proposed_this_cycle = 0
-        components = self.components
-        transfers = self._transfers
-        p_n = self._p_n
-        for subcycle in range(self._subcycles):
-            if prof is not None:
-                prof.begin()
-            if compiled:
-                prop_fns = self._prop_fns
-                if self._prop_dirty:
-                    self._prop_order = order = sorted(self._active_prop)
-                    self._prop_fn_order = [prop_fns[index] for index in order]
-                    self._prop_dirty = False
-                if subcycle == 0:
-                    for fn in self._prop_fn_order:
-                        fn(self)
-                else:
-                    speed2 = self._prop_speed2
-                    for index in self._prop_order:
-                        if speed2[index]:
-                            prop_fns[index](self)
-            elif active:
-                if self._prop_dirty:
-                    self._prop_order = sorted(self._active_prop)
-                    self._prop_dirty = False
-                for index in self._prop_order:
-                    component = components[index]
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
-            else:
-                for component in components:
-                    if subcycle == 0 or component.speed == 2:
-                        component.propose(self)
             if prof is not None:
                 prof.lap(sched, "propose")
             n = p_n[0] if compiled else len(transfers)
@@ -1121,16 +934,7 @@ class Engine:
             # Snapshot survivors *before* commit: the compiled commit
             # loop batch-clears the flit/source columns.
             survivors = aud.check_resolution(self) if aud is not None else None
-            if compiled:
-                committed = self._commit_compiled()
-                p_n[0] = 0
-                p_n[1] += n  # invalidate this subcycle's prop_of_* entries
-            else:
-                committed = self._commit()
-                self._pool.extend(transfers)
-                transfers.clear()
-                self._by_source.clear()
-                self._by_dest.clear()
+            committed = self._commit_compiled() if compiled else self._commit()
             committed_this_cycle += committed
             if prof is not None:
                 prof.lap(sched, "commit")
@@ -1139,12 +943,10 @@ class Engine:
                 aud.check_commit(self, survivors, committed)
         if prof is not None:
             prof.begin()
-        if compiled:
-            self._update_compiled(cycle)
-        elif active:
-            self._update_active(cycle)
+        if self._active_mode:
+            self._update(cycle)
         else:
-            for component in components:
+            for component in self.components:
                 component.update(self)
         if prof is not None:
             prof.lap(sched, "update")
@@ -1194,82 +996,16 @@ class Engine:
             for t in self._transfers
         ]
 
-    def _update_active(self, cycle: int) -> None:
-        """Update phase plus the wake/sleep bookkeeping of both sets."""
-        components = self.components
-        active_upd = self._active_upd
-        if active_upd:
-            if self._upd_dirty:
-                self._upd_order = sorted(active_upd)
-                self._upd_dirty = False
-            active_prop = self._active_prop
-            upd_out_wakes = self._upd_out_wakes
-            timers = self._timers
-            timer_at = self._timer_at
-            hot_threshold = cycle + 1
-            prop_grew = False
-            upd_shrank = False
-            for index in self._upd_order:
-                component = components[index]
-                component.update(self)
-                # Wake the proposers reading any buffer this update filled
-                # (injection bypasses the transfer machinery).
-                for buffer, wakes in upd_out_wakes[index]:
-                    if buffer._flits:
-                        active_prop.update(wakes)
-                        prop_grew = True
-                nxt = component.next_update_cycle(self)
-                if nxt is None:
-                    active_upd.discard(index)
-                    upd_shrank = True
-                elif nxt > hot_threshold:
-                    active_upd.discard(index)
-                    upd_shrank = True
-                    # Dedup: skip the push when an earlier live timer
-                    # already guarantees a wake at or before `nxt`.
-                    live = timer_at[index]
-                    if live <= cycle or nxt < live:
-                        heappush(timers, (nxt, index))
-                        timer_at[index] = nxt
-            if prop_grew:
-                self._prop_dirty = True
-            if upd_shrank:
-                self._upd_dirty = True
-        # Sweep proposers to sleep — but only every 16 cycles, or when
-        # the update set just went quiet (so the fast-forward path opens
-        # promptly at low load).  Sleeping a few cycles late is always
-        # safe: an awake-but-idle propose() is a no-op, exactly what the
-        # naive scan does every cycle.  Under load the sweep would churn
-        # (busy components never sleep), so amortizing it is pure win.
-        active_prop = self._active_prop
-        if active_prop and (cycle & 15 == 0 or not active_upd):
-            swept = False
-            # sorted(): sweep in component-index order, not set order
-            # (RPR001 regression — discards are order-independent, but a
-            # frozen set order must never leak into scheduling decisions).
-            for index in sorted(active_prop):
-                if components[index].may_sleep_propose():
-                    active_prop.discard(index)
-                    swept = True
-            if swept:
-                self._prop_dirty = True
+    def _update(self, cycle: int) -> None:
+        """Update phase plus the wake/sleep bookkeeping of both sets.
 
-    def _update_compiled(self, cycle: int) -> None:
-        """Compiled twin of :meth:`_update_active`.
-
-        Same calls into the same components in the same order; the
-        differences are mechanical — ``update``/``next_update_cycle``
-        are the bound methods resolved once at finalize (or the
-        component's single fused closure, which computes the next-cycle
-        answer during the update call), a component with no declared
-        output buffers skips the wake scan without setting up an empty
-        loop, and the sleep sweep is amortized over 64 cycles instead
-        of 16.  For the fused path the output-buffer wake scan runs
-        after the next-cycle computation (it happens inside the fused
-        call) rather than between the two plain calls; that is
-        equivalent because the next-cycle computation never reads the
-        active sets and the scan only reads output-buffer occupancy,
-        which is final once the update work is done.
+        ``update``/``next_update_cycle`` are the bound methods resolved
+        once at finalize, or — under ``compiled`` — the component's
+        single fused closure, which computes the next-cycle answer
+        during the update call.  The output-buffer wake scan runs after
+        the next-cycle computation: the next-cycle computation never
+        reads the active sets, and the scan only reads output-buffer
+        occupancy, which is final once the update work is done.
         """
         active_upd = self._active_upd
         if active_upd:
@@ -1277,7 +1013,7 @@ class Engine:
                 self._upd_order = sorted(active_upd)
                 self._upd_dirty = False
             active_prop = self._active_prop
-            upd_out_wakes = self._upd_out_wakes_compiled
+            upd_out_wakes = self._upd_out_wakes
             upd_pairs = self._upd_pairs
             upd_fused = self._upd_fused
             timers = self._timers
@@ -1289,22 +1025,17 @@ class Engine:
                 fused = upd_fused[index]
                 if fused is not None:
                     nxt = fused(cycle)
-                    # Wake the proposers reading any buffer this update
-                    # filled (injection bypasses the transfer machinery).
-                    out_wakes = upd_out_wakes[index]
-                    if out_wakes:
-                        for buffer, wakes in out_wakes:
-                            if buffer._flits:
-                                active_prop.update(wakes)
                 else:
                     update_fn, next_fn = upd_pairs[index]
                     update_fn(self)
-                    out_wakes = upd_out_wakes[index]
-                    if out_wakes:
-                        for buffer, wakes in out_wakes:
-                            if buffer._flits:
-                                active_prop.update(wakes)
                     nxt = next_fn(self)
+                # Wake the proposers reading any buffer this update
+                # filled (injection bypasses the transfer machinery).
+                out_wakes = upd_out_wakes[index]
+                if out_wakes:
+                    for buffer, wakes in out_wakes:
+                        if buffer._flits:
+                            active_prop.update(wakes)
                 if nxt is None:
                     active_upd.discard(index)
                     upd_shrank = True
@@ -1321,30 +1052,27 @@ class Engine:
             # for any non-empty output buffer, which at saturation is
             # every cycle even though the proposers are all awake
             # already — rebuilding the sorted order then is pure waste.
-            # (_update_active keeps the coarser any-wake-fired test; the
-            # rebuilt order is identical either way, this only changes
-            # how often it is recomputed.)
             if len(active_prop) != prop_before:
                 self._prop_dirty = True
             if upd_shrank:
                 self._upd_dirty = True
-        # Amortized sleep sweep — see _update_active for the rationale.
-        # The compiled path stretches the period to 64 cycles: sweeping
-        # is pure scheduling (an awake-but-idle propose() is a no-op,
-        # and results are scheduler-independent by construction), and at
-        # saturation — this datapath's design point — the sweep almost
-        # never finds a sleeper, so the sorted() walk is nearly always
-        # wasted.  The `not active_upd` trigger still opens the
-        # fast-forward path promptly at low load, rate-limited to every
-        # 8th cycle: at saturation the update set regularly drains to
-        # empty for a cycle (every hot PM parked on a timer) without the
-        # network being anywhere near idle, and sweeping on each of
-        # those cycles re-walks every busy proposer for nothing.
+        # Sweep proposers to sleep — but only every 64 cycles, or when
+        # the update set just went quiet (so the fast-forward path opens
+        # promptly at low load), rate-limited to every `_sweep_gap`-th
+        # cycle.  Sleeping late is always safe: an awake-but-idle
+        # propose() is a no-op, exactly what the naive scan does every
+        # cycle.  Under load the sweep almost never finds a sleeper
+        # (busy components never sleep), so the sorted() walk is nearly
+        # always wasted; and at saturation the update set regularly
+        # drains to empty for a cycle (every hot PM parked on a timer)
+        # without the network being anywhere near idle, so sweeping on
+        # each of those cycles would re-walk every busy proposer for
+        # nothing.
         active_prop = self._active_prop
         if active_prop and (
             cycle & 63 == 0 or (not active_upd and cycle >= self._sweep_at)
         ):
-            self._sweep_at = cycle + 8
+            self._sweep_at = cycle + self._sweep_gap
             components = self.components
             swept = False
             # sorted(): sweep in component-index order, not set order
@@ -1432,6 +1160,12 @@ class Engine:
                     work.append(upstream - base)
 
     def _commit(self) -> int:
+        """Move every surviving transfer's flit, then retire the transfers.
+
+        Wake routing reads the buffers' slots, which only the active
+        schedulers fill (a naive engine's are ``None``, and its propose
+        set is full already).
+        """
         committed = 0
         transfers = self._transfers
         # All pops first: a flit may move into a slot freed in this very
@@ -1444,52 +1178,46 @@ class Engine:
                         f"buffer {transfer.source.name!r} head changed between "
                         f"propose and commit"
                     )
-        if self._active_mode:
-            active_prop = self._active_prop
-            active_upd = self._active_upd
-            prop_before = len(active_prop)
-            upd_before = len(active_upd)
-            for transfer in transfers:
-                if not transfer.committed:
-                    continue
-                dest = transfer.dest
-                dest.push(transfer.flit)
-                channel = transfer.channel
-                if channel is not None:
-                    channel.flits_carried += 1
-                transfer.owner.on_transfer_commit(transfer, self)
-                committed += 1
-                pair = dest._wake_on_push
-                if pair is not None:
-                    prop_wakes, upd_wakes = pair
-                    if prop_wakes is not None:
-                        active_prop.update(prop_wakes)
-                    if upd_wakes is not None:
-                        active_upd.update(upd_wakes)
-                wakes = transfer.source._wake_on_pop
-                if wakes is not None:
-                    active_upd.update(wakes)
-            if len(active_prop) != prop_before:
-                self._prop_dirty = True
-            if len(active_upd) != upd_before:
-                self._upd_dirty = True
-        else:
-            for transfer in transfers:
-                if not transfer.committed:
-                    continue
-                transfer.dest.push(transfer.flit)
-                channel = transfer.channel
-                if channel is not None:
-                    channel.flits_carried += 1
-                transfer.owner.on_transfer_commit(transfer, self)
-                committed += 1
+        active_prop = self._active_prop
+        active_upd = self._active_upd
+        prop_before = len(active_prop)
+        upd_before = len(active_upd)
+        for transfer in transfers:
+            if not transfer.committed:
+                continue
+            dest = transfer.dest
+            dest.push(transfer.flit)
+            channel = transfer.channel
+            if channel is not None:
+                channel.flits_carried += 1
+            transfer.owner.on_transfer_commit(transfer, self)
+            committed += 1
+            pair = dest._wake_on_push
+            if pair is not None:
+                prop_wakes, upd_wakes = pair
+                if prop_wakes is not None:
+                    active_prop.update(prop_wakes)
+                if upd_wakes is not None:
+                    active_upd.update(upd_wakes)
+            wakes = transfer.source._wake_on_pop
+            if wakes is not None:
+                active_upd.update(wakes)
+        if len(active_prop) != prop_before:
+            self._prop_dirty = True
+        if len(active_upd) != upd_before:
+            self._upd_dirty = True
         self.flits_moved += committed
+        self._pool.extend(transfers)
+        transfers.clear()
+        self._by_source.clear()
+        self._by_dest.clear()
         return committed
 
     def _commit_compiled(self) -> int:
         """Row-loop twin of :meth:`_commit` (active-set bookkeeping on).
 
-        Same two-pass structure — all drains before any fill — with the
+        Same two-pass structure — all drains before any fill, then the
+        rows retired for the next subcycle — with the
         per-flit work flattened: direct deque operations plus FIFO
         counter updates instead of ``pop()``/``push()`` calls (the
         resolver already guarantees no bounded destination overflows),
@@ -1592,6 +1320,8 @@ class Engine:
         if len(active_upd) != upd_before:
             self._upd_dirty = True
         self.flits_moved += committed
+        self._p_n[0] = 0
+        self._p_n[1] += n  # invalidate this subcycle's prop_of_* entries
         return committed
 
     # ------------------------------------------------------------------

@@ -350,7 +350,7 @@ class MeshRouter(Component):
                     index = rr_pick[rr_pointer[out_key]][mask]
                     flit = heads[index]
                     src = sources[index]
-                # --- row write: mirror of Engine.propose_fast ---
+                # --- row write: mirror of Engine._propose_compiled ---
                 if prop_of_src[src] >= base:
                     raise SimulationError(
                         f"two transfers source from buffer {buf_objs[src].name!r}"

@@ -294,7 +294,7 @@ class RingPort(Component):
                 dst = dest._buf_id
                 if dst < 0 or len(buf_objs) <= dst or buf_objs[dst] is not dest:
                     dst = register_buffer(dest)
-            # --- row write: mirror of Engine.propose_fast ---
+            # --- row write: mirror of Engine._propose_compiled ---
             n, base = p_n
             if n == len(p_flit):
                 p_flit.append(flit)

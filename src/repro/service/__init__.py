@@ -37,7 +37,7 @@ from ..runtime.runner import _load_simulator
 _load_simulator()
 
 from .app import DEFAULT_HOST, DEFAULT_PORT, ServiceHandle, SweepService, start_in_thread
-from .client import AsyncServiceClient, ServiceClient, ServiceError
+from .client import ServiceClient, ServiceError
 from .events import EventLog
 from .queue import Job, JobQueue
 from .shards import ShardedPools
@@ -46,7 +46,6 @@ from .tiers import TieredCache
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "AsyncServiceClient",
     "EventLog",
     "Job",
     "JobQueue",

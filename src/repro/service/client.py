@@ -1,20 +1,15 @@
-"""Clients for the sweep service's HTTP/JSON API.
+"""Client for the sweep service's HTTP/JSON API.
 
-:class:`ServiceClient` is a small blocking client on
+:class:`ServiceClient` is a small blocking keep-alive client on
 :mod:`http.client` — convenient for tests, scripts and the smoke
-driver.  :class:`AsyncServiceClient` speaks the same API over a single
-persistent asyncio connection, so a closed-loop caller opening one per
-simulated user pays no reconnect cost per request.
-
-Both return the *raw response text* for point results: the service's
-responses are canonical result payloads, byte-identical to a direct
-``run_point`` serialization, and parsing/re-dumping them would be the
-easiest way to destroy that property.
+driver.  It returns the *raw response text* for point results: the
+service's responses are canonical result payloads, byte-identical to a
+direct ``run_point`` serialization, and parsing/re-dumping them would
+be the easiest way to destroy that property.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 from typing import Any, Iterator
@@ -161,79 +156,3 @@ class ServiceClient:
         except (ServiceError, ConnectionError, OSError):
             pass
         self.close()
-
-
-class AsyncServiceClient:
-    """One persistent asyncio connection speaking the service API."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
-
-    async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._reader = None
-            self._writer = None
-
-    async def _request(
-        self, method: str, path: str, body: bytes = b""
-    ) -> "tuple[int, bytes, dict[str, str]]":
-        if self._writer is None or self._reader is None:
-            await self.connect()
-        assert self._writer is not None and self._reader is not None
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n\r\n"
-        )
-        self._writer.write(head.encode("latin-1") + body)
-        await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("service closed the connection")
-        status = int(status_line.split()[1])
-        headers: dict[str, str] = {}
-        while True:
-            raw = await self._reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, __, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        payload = await self._reader.readexactly(length) if length else b""
-        return status, payload, headers
-
-    async def run_point(
-        self, point: "dict[str, Any]", *, derive_seed: bool = False
-    ) -> "tuple[str, str]":
-        """Run one spec payload; returns ``(canonical_text, source)``."""
-        body = json.dumps(
-            {"point": point, "derive_seed": derive_seed}, sort_keys=True
-        ).encode("utf-8")
-        status, payload, headers = await self._request("POST", "/points", body)
-        text = payload.decode("utf-8")
-        if status >= 400:
-            raise ServiceError(status, text)
-        return text, headers.get("x-repro-source", "?")
-
-    async def stats(self) -> "dict[str, Any]":
-        status, payload, __ = await self._request("GET", "/stats")
-        if status >= 400:
-            raise ServiceError(status, payload.decode("utf-8"))
-        parsed = json.loads(payload)
-        assert isinstance(parsed, dict)
-        return parsed

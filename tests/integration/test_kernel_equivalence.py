@@ -177,17 +177,18 @@ def test_near_zero_load_is_identical_and_quiet():
     assert_identical(results)
 
 
-def test_profiled_run_bit_identical():
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_profiled_run_bit_identical(system):
     """An active PhaseProfile must observe, never perturb.
 
-    The instrumented step brackets the same phases with perf_counter
-    laps; results must stay byte-identical to unprofiled runs under
-    every scheduler, while the profile actually records cycles and all
-    four phases for each of them.
+    The step brackets the same phases with perf_counter laps; results
+    must stay byte-identical to unprofiled runs under every scheduler,
+    on every system of the matrix (two subcycles on the double-speed
+    global ring, slotted switching, meshes), while the profile actually
+    records cycles and all four phases for each of them.
     """
     from repro.core import profiling
 
-    system = RingSystemConfig(topology="2:4", cache_line_bytes=32)
     workload = WorkloadConfig(miss_rate=0.05, outstanding=4)
     plain = run_all(system, workload)
     profile = profiling.PhaseProfile()

@@ -1,6 +1,5 @@
 """End-to-end tests: a real service in a thread, driven over HTTP."""
 
-import asyncio
 import socket
 import statistics
 import threading
@@ -14,7 +13,6 @@ from repro.core.simulation import simulate
 from repro.runtime import MemCache, PointSpec, ResultCache, run_point
 from repro.runtime.serialization import canonical_json, result_payload
 from repro.service import (
-    AsyncServiceClient,
     ServiceClient,
     ServiceError,
     SweepService,
@@ -62,13 +60,19 @@ class TestEndpoints:
         assert health["salt"] == svc.salt
 
     def test_point_computed_then_served_from_memory(self, service):
+        """Two requests on one keep-alive connection: computed, then the
+        same bytes from memory."""
         __, client = service
         payload = _payload(seed=21)
+        before = client.stats()["requests"].get("POST /points", 0)
+        connection = client._connection()
         first, source_first = client.run_point(payload)
         second, source_second = client.run_point(payload)
+        assert client._connection() is connection
         assert source_first == "computed"
         assert source_second == "mem"
         assert first == second
+        assert client.stats()["requests"]["POST /points"] >= before + 2
 
     def test_served_text_is_byte_identical_to_run_point(self, service):
         """... and both — the default route, in a pool worker and in
@@ -83,27 +87,6 @@ class TestEndpoints:
             spec.system, spec.workload, replace(spec.params, scheduler="compiled")
         )
         assert served == canonical_json(result_payload(oracle))
-
-    def test_async_client_speaks_the_same_api(self, service):
-        """Two requests on one persistent asyncio connection: computed,
-        then the same bytes from memory, equal to the blocking client's."""
-        svc, client = service
-        payload = _payload(seed=23)
-
-        async def fetch():
-            async_client = AsyncServiceClient("127.0.0.1", svc.port)
-            try:
-                first = await async_client.run_point(payload)
-                second = await async_client.run_point(payload)
-                stats = await async_client.stats()
-            finally:
-                await async_client.close()
-            return first, second, stats
-
-        (text, source), (again, source_again), stats = asyncio.run(fetch())
-        assert (source, source_again) == ("computed", "mem")
-        assert text == again == client.run_point(payload)[0]
-        assert stats["requests"]["POST /points"] >= 2
 
     def test_derive_seed_accepted(self, service):
         __, client = service
