@@ -5,9 +5,11 @@ asyncio HTTP/JSON server (:class:`SweepService`) with
 
 * a priority job queue (:mod:`repro.service.queue`) and per-job
   progress event streams (:mod:`repro.service.events`);
-* sharded persistent process pools (:mod:`repro.service.shards`) —
+* sharded persistent worker processes (:mod:`repro.service.shards`) —
   shard chosen by point content hash, workers primed with the parent's
-  code-version salt;
+  code-version salt, each on its own pipe to the event loop; a worker
+  runs the point, writes its disk entry and hands back the canonical
+  text, and one that dies mid-point is respawned and the point retried;
 * a two-tier cache with single-flight deduplication
   (:mod:`repro.service.tiers`): process-wide in-memory LRU in front of
   the salted disk cache, identical concurrent requests coalesced onto
@@ -23,7 +25,7 @@ Served results are byte-identical to a direct
 # The service process exists to simulate, so it loads what a served
 # point runs on — the kernel tier: the column driver, the topology plan
 # and the C kernel (compiled here, once, on a host whose kernel cache is
-# still empty) — first thing: every pool it ever forks inherits the
+# still empty) — first thing: every shard worker it forks inherits the
 # loaded modules and the kernel's mapping (``warm_up`` then leaves
 # nothing for a first request to import).  It cannot know whether a
 # request will ever need the object model (a slotted or bursty point,

@@ -36,14 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=2,
-        help="worker-pool shards; identical points always land on the "
+        help="worker shards; identical points always land on the "
         "same shard (default 2)",
     )
     parser.add_argument(
         "--workers-per-shard",
         type=int,
         default=2,
-        help="processes per shard pool (default 2)",
+        help="worker processes per shard (default 2)",
     )
     parser.add_argument(
         "--job-workers",
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-warm-up",
         action="store_true",
-        help="skip pre-spawning pool workers at startup",
+        help="skip pre-spawning shard workers at startup",
     )
     return parser
 

@@ -3,7 +3,8 @@
 A long-running asyncio server that turns the figure-sweep runner into a
 shared simulation service.  Request path for every point: in-memory LRU
 → salted disk cache → single-flight in-flight map → sharded persistent
-process pools (shard chosen by point content hash).  Served results are
+worker processes (shard chosen by point content hash; the worker writes
+the disk entry and hands back the canonical text).  Served results are
 byte-identical to a direct :func:`repro.runtime.run_point` of the same
 spec — responses carry the canonical result payload text.
 
@@ -31,7 +32,7 @@ Endpoints (all JSON):
                              400 for ids never issued
 ``GET  /jobs/<id>/events``   NDJSON progress event stream (chunked)
                              until the job reaches a terminal state
-``POST /shutdown``           graceful stop: drain, close pools, exit
+``POST /shutdown``           graceful stop: drain, stop shard workers, exit
 ===========================  ========================================
 
 The HTTP layer is a deliberately small HTTP/1.1 subset on asyncio
@@ -109,11 +110,12 @@ class SweepService:
             )
         self.host = host
         self.port = port
-        # The salt is computed once here, in the parent; every pool
-        # worker inherits it through the shard initializer and the
-        # disk cache pins it for the service's lifetime.
+        # The salt is computed once here, in the parent; every shard
+        # worker is primed with it and writes the disk entries of the
+        # points it runs through the same cache, which pins it for the
+        # service's lifetime.
         self.salt = cache.salt if cache is not None else code_version_salt()
-        self.pools = ShardedPools(shards, workers_per_shard, self.salt)
+        self.pools = ShardedPools(shards, workers_per_shard, self.salt, cache=cache)
         self.tiers = TieredCache(cache, mem)
         self.queue = JobQueue()
         self.jobs: "dict[str, Job]" = {}
@@ -125,7 +127,7 @@ class SweepService:
         self.jobs_failed = 0
         self.jobs_evicted = 0
         self._job_seq = 0
-        # Bounds how many executor submissions one job fans out at once.
+        # Bounds how many points one job hands to the shards at once.
         self._point_slots = asyncio.Semaphore(self.pools.total_workers * 4)
         self._server: "asyncio.base_events.Server | None" = None
         self._runners: "list[asyncio.Task[None]]" = []

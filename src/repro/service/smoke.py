@@ -9,7 +9,11 @@ Drives a real server over HTTP and asserts the serving contract:
    one simulation (dedup ratio >= 15/16);
 4. a served result is byte-identical JSON to a direct
    :func:`repro.runtime.run_point` of the same spec;
-5. the server shuts down cleanly on request.
+5. the server shuts down cleanly on request;
+6. with ``--spawn``: a second server on the same cache directory, its
+   memory tier off (``--mem-entries 0``), answers the sweep's points
+   from ``disk`` with the first server's bytes — the entries its shard
+   workers wrote are whole and canonical.
 
 Usage::
 
@@ -92,7 +96,8 @@ def _run_herd(host: str, port: int, point: dict) -> "list[tuple[str, str]]":
         return list(pool.map(lambda __: one(), range(HERD_CLIENTS)))
 
 
-def run_smoke(host: str, port: int, *, shutdown: bool) -> int:
+def run_smoke(host: str, port: int, *, shutdown: bool) -> "list[str]":
+    """Steps 1-5; returns the served texts of the sweep's points."""
     client = ServiceClient(host, port)
     _wait_healthy(client)
     print(f"smoke: service healthy on {host}:{port}")
@@ -103,6 +108,7 @@ def run_smoke(host: str, port: int, *, shutdown: bool) -> int:
     assert status["state"] == "done", f"cold job failed: {status}"
     cold_sources = status["sources"]
     print(f"smoke: cold fig07 job {job_id} done, sources {cold_sources}")
+    served = [client.run_point(point)[0] for point in points]
 
     # The same sweep again: every point must be a cache hit now.
     job_id = client.submit_job(points)
@@ -149,7 +155,50 @@ def run_smoke(host: str, port: int, *, shutdown: bool) -> int:
         print("smoke: shutdown requested")
     else:
         client.close()
-    return 0
+    return served
+
+
+def check_disk_tier(host: str, port: int, served: "list[str]") -> None:
+    """Step 6, against a server whose memory tier is off."""
+    client = ServiceClient(host, port)
+    _wait_healthy(client)
+    for point, expected in zip(fig07_points(), served):
+        text, source = client.run_point(point)
+        assert source == "disk", f"second server answered from {source}, not disk"
+        assert text == expected, "disk-tier bytes differ from the first server's"
+    print(f"smoke: second server (memory tier off) served all {len(served)} "
+          "points from disk, byte-identical")
+    client.shutdown()
+
+
+def _spawn_server(
+    args: argparse.Namespace, cache_dir: str, *extra: str
+) -> "subprocess.Popen[bytes]":
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.service",
+            "--host",
+            args.host,
+            "--port",
+            str(args.port),
+            "--shards",
+            "2",
+            "--workers-per-shard",
+            "2",
+            "--cache-dir",
+            cache_dir,
+            *extra,
+        ],
+    )
+
+
+def _stop(proc: "subprocess.Popen[bytes]") -> None:
+    """Wait for a server asked to shut down; it must exit 0."""
+    exit_code = proc.wait(timeout=60)
+    assert exit_code == 0, f"server exited {exit_code}, expected 0"
+    print("smoke: server exited cleanly")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -169,37 +218,24 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if not args.spawn:
-        return run_smoke(args.host, args.port, shutdown=False)
+        run_smoke(args.host, args.port, shutdown=False)
+        return 0
 
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = args.cache_dir or tmp
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.service",
-                "--host",
-                args.host,
-                "--port",
-                str(args.port),
-                "--shards",
-                "2",
-                "--workers-per-shard",
-                "2",
-                "--cache-dir",
-                cache_dir,
-            ],
-        )
+        procs = [_spawn_server(args, cache_dir)]
         try:
-            status = run_smoke(args.host, args.port, shutdown=True)
-            exit_code = proc.wait(timeout=60)
-            assert exit_code == 0, f"server exited {exit_code}, expected 0"
-            print("smoke: server exited cleanly")
-            return status
+            served = run_smoke(args.host, args.port, shutdown=True)
+            _stop(procs[0])
+            procs.append(_spawn_server(args, cache_dir, "--mem-entries", "0"))
+            check_disk_tier(args.host, args.port, served)
+            _stop(procs[1])
+            return 0
         finally:
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait(timeout=30)
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.terminate()
+                    proc.wait(timeout=30)
 
 
 if __name__ == "__main__":  # pragma: no cover

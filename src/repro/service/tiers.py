@@ -10,8 +10,12 @@ Request path for one point, in order:
    promoted into memory);
 3. **in-flight** — another request is already computing this exact
    key: await its future instead of simulating again (``dedup``);
-4. **compute** — submit to the sharded pools, write through both cache
-   tiers, resolve the in-flight future for any coalesced waiters.
+4. **compute** — run the point on its shard; the worker writes the
+   disk entry and hands back the canonical text, which goes into the
+   memory tier and resolves the in-flight future for any coalesced
+   waiters.  A miss builds no :class:`~repro.core.simulation.SimulationResult`
+   in the service process and writes nothing to disk from it: it costs
+   the service one ``MemCache.put``.
 
 Steps 1–3 happen without yielding to the event loop, so the
 check-then-register window for the in-flight map is atomic under
@@ -22,15 +26,10 @@ exactly one simulation and N−1 awaits.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Awaitable, Callable
+from typing import Awaitable, Callable
 
 from ..runtime import GLOBAL_MEMCACHE, MemCache, PointSpec, ResultCache
 from ..runtime.memcache import entry_key
-from ..runtime.runner import cache_store
-from ..runtime.serialization import canonical_json, result_payload
-
-if TYPE_CHECKING:
-    from ..core.simulation import SimulationResult
 
 #: How a response was produced, in increasing order of cost.
 SOURCES = ("mem", "disk", "dedup", "computed")
@@ -70,23 +69,17 @@ class TieredCache:
                 return entry[0], "disk"
         return None
 
-    def store(self, spec: PointSpec, spec_key: str, result: SimulationResult) -> str:
-        """Write *result* through every active tier; returns its text."""
-        if self.disk is not None:
-            return cache_store(self.disk, spec, result, spec_key, mem=self.mem)
-        text = canonical_json(result_payload(result))
-        self.mem.put(self._mem_key(spec_key), text, result)
-        return text
-
     async def fetch(
         self,
         spec: PointSpec,
-        compute: Callable[[], Awaitable[SimulationResult]],
+        compute: Callable[[], Awaitable[str]],
     ) -> "tuple[str, str]":
         """Serve one point: ``(canonical_text, source)``.
 
         *compute* is only awaited on a full miss with no identical
-        request already in flight.
+        request already in flight; it returns the point's canonical
+        text and has written the disk entry itself (a shard worker
+        does, see :mod:`repro.service.shards`).
         """
         spec_key = spec.key()
         hit = self.lookup(spec, spec_key)
@@ -103,8 +96,8 @@ class TieredCache:
         future: asyncio.Future[str] = asyncio.get_running_loop().create_future()
         self._inflight[spec_key] = future
         try:
-            result = await compute()
-            text = self.store(spec, spec_key, result)
+            text = await compute()
+            self.mem.put(self._mem_key(spec_key), text)
         except BaseException as exc:
             if not future.cancelled():
                 future.set_exception(exc)

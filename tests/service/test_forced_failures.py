@@ -1,0 +1,204 @@
+"""Forced failures of the shard workers: a defined outcome for each.
+
+* ``kill -9`` of a worker mid-point: that worker is respawned and the
+  point retried once — same bytes, ``/stats`` ``pools`` counts it;
+* a second death on the same point: HTTP 500 naming the error, and the
+  service keeps serving;
+* a request cancelled while its point runs: the worker stays reserved
+  until the late reply has been read and dropped, so that reply never
+  answers the next point.
+"""
+
+import asyncio
+import os
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
+from repro.runtime import MemCache, PointSpec, ResultCache, code_version_salt, run_point
+from repro.runtime.serialization import canonical_json, result_payload
+from repro.service import (
+    ServiceClient,
+    ServiceError,
+    ShardedPools,
+    SweepService,
+    start_in_thread,
+)
+
+WORKLOAD = WorkloadConfig(locality=1.0, miss_rate=0.04, outstanding=4)
+
+#: ~0.2 s on the C kernel: long enough to be killed or cancelled mid-point.
+LONG = PointSpec(
+    system=RingSystemConfig(topology="3:5:8", cache_line_bytes=32),
+    workload=WORKLOAD,
+    params=SimulationParams(batch_cycles=40000, batches=3, seed=5),
+)
+SHORT = PointSpec(
+    system=RingSystemConfig(topology="2:4"),
+    workload=WORKLOAD,
+    params=SimulationParams(batch_cycles=300, batches=2, seed=6),
+)
+
+
+def _direct(spec):
+    return canonical_json(result_payload(run_point(spec, cache=None)))
+
+
+def _busy_pid(pools, *, other_than=None, timeout=30.0):
+    """Pid of the worker holding a point, polled from another thread."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for worker in pools._workers:
+            process = worker.process
+            if worker.pending is not None and process is not None:
+                if process.pid != other_than:
+                    return process.pid
+        time.sleep(0.001)
+    raise AssertionError("no worker picked the point up")
+
+
+def _kill_busy_workers(pools, deaths):
+    """Background thread: SIGKILL *deaths* successive busy workers."""
+    killed = []
+
+    def kill():
+        pid = None
+        for __ in range(deaths):
+            pid = _busy_pid(pools, other_than=pid)
+            os.kill(pid, signal.SIGKILL)
+            killed.append(pid)
+
+    thread = threading.Thread(target=kill)
+    thread.start()
+    return thread, killed
+
+
+@pytest.fixture
+def service(tmp_path):
+    svc = SweepService(
+        "127.0.0.1",
+        0,
+        shards=1,
+        workers_per_shard=1,
+        cache=ResultCache(tmp_path),
+        mem=MemCache(),
+        job_workers=1,
+    )
+    handle = start_in_thread(svc, warm_up=True)
+    client = ServiceClient("127.0.0.1", svc.port)
+    yield svc, client
+    client.shutdown()
+    handle.stop()
+    assert not handle.thread.is_alive()
+
+
+class TestWorkerDeath:
+    def test_killed_worker_is_respawned_and_the_point_retried(self, service):
+        svc, client = service
+        killer, killed = _kill_busy_workers(svc.pools, deaths=1)
+        text, source = client.run_point(LONG.payload())
+        killer.join(timeout=30)
+        assert not killer.is_alive() and len(killed) == 1
+        assert source == "computed"
+        assert text == _direct(LONG)
+        assert client.stats()["pools"]["respawned"] == [1]
+        # the retried point wrote its disk entry, with the same bytes
+        assert svc.tiers.disk.get_entry(LONG)[0] == text
+
+    def test_second_death_answers_500_and_the_service_keeps_serving(self, service):
+        svc, client = service
+        killer, killed = _kill_busy_workers(svc.pools, deaths=2)
+        with pytest.raises(ServiceError) as excinfo:
+            client.run_point(LONG.payload())
+        killer.join(timeout=30)
+        assert not killer.is_alive() and len(set(killed)) == 2
+        assert excinfo.value.status == 500
+        assert "WorkerDied" in str(excinfo.value)
+        assert client.stats()["pools"]["respawned"] == [2]
+        # nothing was cached for the failed point; the next one is served
+        assert svc.tiers.inflight == 0
+        text, source = client.run_point(SHORT.payload())
+        assert (text, source) == (_direct(SHORT), "computed")
+
+
+class TestCancellation:
+    def test_late_reply_of_a_cancelled_point_never_answers_the_next(self):
+        """One worker: the next point must wait for the cancelled one's
+        reply to be read and dropped, then get its own bytes."""
+        pools = ShardedPools(1, 1, code_version_salt())
+
+        async def scenario():
+            running = asyncio.create_task(pools.run(LONG, LONG.key()))
+            while pools._workers[0].pending is None:
+                await asyncio.sleep(0.001)
+            running.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await running
+            assert pools._workers[0].pending is not None  # still reserved
+            return await asyncio.wait_for(pools.run(SHORT, SHORT.key()), timeout=60)
+
+        try:
+            text = asyncio.run(scenario())
+        finally:
+            pools.shutdown()
+        assert text == _direct(SHORT)
+        assert pools.describe()["respawned"] == [0]
+
+    def test_cancelled_waiter_does_not_hold_a_worker(self):
+        """A request cancelled while queued for a busy shard leaves the
+        worker to the requests behind it."""
+        pools = ShardedPools(1, 1, code_version_salt())
+
+        async def scenario():
+            first = asyncio.create_task(pools.run(LONG, LONG.key()))
+            queued = asyncio.create_task(pools.run(SHORT, SHORT.key()))
+            await asyncio.sleep(0.01)
+            queued.cancel()
+            last = asyncio.create_task(pools.run(SHORT, SHORT.key()))
+            return await asyncio.wait_for(asyncio.gather(first, last), timeout=60)
+
+        try:
+            long_text, short_text = asyncio.run(scenario())
+        finally:
+            pools.shutdown()
+        assert long_text == _direct(LONG)
+        assert short_text == _direct(SHORT)
+
+    def test_many_points_with_cancellations_each_get_their_own_bytes(self):
+        """More points than workers, every third one cancelled while it
+        is queued or running: each survivor's reply is its own point's."""
+        pools = ShardedPools(2, 1, code_version_salt())
+        specs = [
+            PointSpec(
+                system=SHORT.system,
+                workload=WORKLOAD,
+                params=SimulationParams(batch_cycles=300, batches=2, seed=seed),
+            )
+            for seed in range(100, 124)
+        ]
+
+        async def scenario():
+            tasks = [asyncio.create_task(pools.run(s, s.key())) for s in specs]
+            for index in range(0, len(tasks), 3):
+                await asyncio.sleep(0.002)
+                tasks[index].cancel()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=120
+            )
+            # No cancellation lost a worker: every shard still answers.
+            again = [pools.run(s, s.key()) for s in specs[:4]]
+            return outcomes, await asyncio.wait_for(asyncio.gather(*again), timeout=60)
+
+        try:
+            outcomes, again = asyncio.run(scenario())
+        finally:
+            pools.shutdown()
+        for index, (spec, outcome) in enumerate(zip(specs, outcomes)):
+            if isinstance(outcome, asyncio.CancelledError):
+                assert index % 3 == 0
+            else:
+                assert outcome == _direct(spec), index
+        assert again == [_direct(spec) for spec in specs[:4]]

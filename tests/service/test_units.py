@@ -1,15 +1,16 @@
 """Unit tests for the service building blocks (no HTTP, no threads)."""
 
 import asyncio
+import json
 import multiprocessing
 
 import pytest
 
 from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
 from repro.core.simulation import simulate
-from repro.runtime import MemCache, PointSpec, ResultCache
+from repro.runtime import MemCache, PointSpec, ResultCache, code_version_salt, run_point
 from repro.runtime.serialization import canonical_json, result_payload
-from repro.service import EventLog, Job, JobQueue, TieredCache
+from repro.service import EventLog, Job, JobQueue, ShardedPools, TieredCache
 
 WORKLOAD = WorkloadConfig(locality=1.0, miss_rate=0.1, outstanding=4)
 PARAMS = SimulationParams(batch_cycles=100, batches=2, seed=7)
@@ -21,8 +22,10 @@ def _spec(n=4):
 
 @pytest.fixture(scope="module")
 def sample():
+    """A spec and its canonical text: what a shard worker hands back."""
     spec = _spec()
-    return spec, simulate(spec.system, spec.workload, spec.params)
+    result = simulate(spec.system, spec.workload, spec.params)
+    return spec, canonical_json(result_payload(result))
 
 
 class TestJobQueue:
@@ -116,44 +119,46 @@ class TestEventLog:
 
 class TestTieredCache:
     def test_compute_then_memory_hit(self, sample):
-        spec, result = sample
+        spec, expected = sample
 
         async def run():
             tiers = TieredCache(None, MemCache())
 
             async def compute():
-                return result
+                return expected
 
             first = await tiers.fetch(spec, compute)
             second = await tiers.fetch(spec, compute)
             return first, second, dict(tiers.counters)
 
         first, second, counters = asyncio.run(run())
-        expected = canonical_json(result_payload(result))
         assert first == (expected, "computed")
         assert second == (expected, "mem")
         assert counters["computed"] == 1 and counters["mem"] == 1
 
     def test_disk_tier_promotes_and_serves(self, sample, tmp_path):
-        spec, result = sample
+        """The computing side writes the disk entry (a shard worker does);
+        the tiers serve it from disk with the same bytes, then promote it."""
+        spec, expected = sample
+        disk = ResultCache(tmp_path)
 
         async def run():
-            tiers = TieredCache(ResultCache(tmp_path), MemCache())
+            tiers = TieredCache(disk, MemCache())
 
             async def compute():
-                return result
+                disk.put(spec, simulate(spec.system, spec.workload, spec.params))
+                return expected
 
             await tiers.fetch(spec, compute)
             tiers.mem.clear()  # forget memory; disk must serve
-            __, source = await tiers.fetch(spec, compute)
-            assert source == "disk"
+            assert await tiers.fetch(spec, compute) == (expected, "disk")
             __, source = await tiers.fetch(spec, compute)
             return source
 
         assert asyncio.run(run()) == "mem"  # the disk hit was promoted
 
     def test_single_flight_coalesces_concurrent_fetches(self, sample):
-        spec, result = sample
+        spec, expected = sample
 
         async def run():
             tiers = TieredCache(None, MemCache())
@@ -164,7 +169,7 @@ class TestTieredCache:
                 nonlocal calls
                 calls += 1
                 await release.wait()
-                return result
+                return expected
 
             leader = asyncio.create_task(tiers.fetch(spec, compute))
             await asyncio.sleep(0)  # leader registers in the inflight map
@@ -179,15 +184,13 @@ class TestTieredCache:
 
         calls, outcomes, counters, inflight = asyncio.run(run())
         assert calls == 1
-        assert {text for text, __ in outcomes} == {
-            canonical_json(result_payload(sample[1]))
-        }
+        assert {text for text, __ in outcomes} == {expected}
         assert [source for __, source in outcomes] == ["computed"] + ["dedup"] * 5
         assert counters == {"mem": 0, "disk": 0, "dedup": 5, "computed": 1}
         assert inflight == 0
 
     def test_compute_failure_propagates_to_waiters_then_clears(self, sample):
-        spec, result = sample
+        spec, expected = sample
 
         async def run():
             tiers = TieredCache(None, MemCache())
@@ -209,41 +212,45 @@ class TestTieredCache:
             assert tiers.inflight == 0
 
             async def recover():
-                return result
+                return expected
 
             return await tiers.fetch(spec, recover)
 
         text, source = asyncio.run(run())
         assert source == "computed"
-        assert text == canonical_json(result_payload(sample[1]))
+        assert text == expected
 
 
 # Runs in a child interpreter: this process imported the simulator long
-# ago, so any worker it forks would trivially hold it.
+# ago, so any worker it forks would trivially hold it.  The worker's
+# point body is swapped for a report of what the worker holds; a forked
+# worker runs the parent's copy of the module, swap included.
 _WARMED_WORKER = """
-import json, sys
-from repro.runtime import code_version_salt
-from repro.service import ShardedPools
+import asyncio, json, sys
+from repro.runtime import PointSpec, code_version_salt
+from repro.service import ShardedPools, shards
 
-def simulator_loaded():
+def simulator_loaded(spec, cache):
     kernel = sys.modules.get("repro.core.ckernel")
-    return {
+    return json.dumps({
         "kernel_bound": kernel is not None and kernel._lib is not None,
         "modules": [
             name
             for name in ("repro.core.columnar", "repro.core.plan", "repro.core.engine")
             if name in sys.modules
         ],
-    }
+    })
 
+shards._answer = simulator_loaded
 pools = ShardedPools(1, 1, code_version_salt())
 try:
     pools.warm_up()
-    # one shard, one worker: this lands on the worker warm_up spawned
-    loaded = pools._pools[0].submit(simulator_loaded).result()
+    spec = PointSpec.from_payload(json.loads(sys.argv[1]))
+    # one shard, one worker: this lands on the worker warm_up started
+    loaded = asyncio.run(pools.run(spec, spec.key()))
 finally:
     pools.shutdown()
-print(json.dumps(loaded))
+print(loaded)
 """
 
 
@@ -259,9 +266,28 @@ class TestShardedPools:
         kernel bound, and the engine only on a host that has no kernel."""
         from repro.core import ckernel
 
-        worker = run_child(_WARMED_WORKER)
+        worker = run_child(_WARMED_WORKER, json.dumps(_spec().payload()))
         if ckernel.available():
             assert worker["kernel_bound"]
             assert worker["modules"] == ["repro.core.columnar", "repro.core.plan"]
         else:
             assert "repro.core.engine" in worker["modules"]
+
+    def test_worker_writes_the_disk_entry_the_tiers_serve(self, tmp_path):
+        """A miss's disk entry is the worker's: served from ``disk`` by
+        fresh tiers with the bytes the worker answered, which are a
+        direct run_point's; a shard without a disk cache writes none."""
+        spec = _spec()
+        salt = code_version_salt()
+        pools = ShardedPools(1, 1, salt, cache=ResultCache(tmp_path, salt))
+        bare = ShardedPools(1, 1, salt)
+        try:
+            text = asyncio.run(pools.run(spec, spec.key()))
+            bare_text = asyncio.run(bare.run(spec, spec.key()))
+        finally:
+            pools.shutdown()
+            bare.shutdown()
+        assert text == bare_text == canonical_json(result_payload(run_point(spec, cache=None)))
+        tiers = TieredCache(ResultCache(tmp_path, salt), MemCache())
+        assert tiers.lookup(spec, spec.key()) == (text, "disk")
+        assert len(list(tmp_path.rglob("*.json"))) == 1
