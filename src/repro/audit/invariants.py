@@ -110,6 +110,11 @@ class AuditError(SimulationError):
         self.detail = detail
         super().__init__(f"[{invariant}] cycle {cycle}: {detail}")
 
+    def __reduce__(self) -> tuple[type, tuple[str, int, str]]:
+        # Rebuilt from the constructor's own arguments, so the error a
+        # pool worker raises reaches the parent as an AuditError.
+        return type(self), (self.invariant, self.cycle, self.detail)
+
 
 class Auditor:
     """Per-cycle invariant checker (see the module docstring).

@@ -32,6 +32,7 @@ class DeadlockError(ReproError):
     def __init__(self, cycle: int, stalled_cycles: int, detail: str = ""):
         self.cycle = cycle
         self.stalled_cycles = stalled_cycles
+        self.detail = detail
         message = (
             f"no flit movement for {stalled_cycles} cycles "
             f"(at cycle {cycle}) while packets are in flight"
@@ -39,6 +40,11 @@ class DeadlockError(ReproError):
         if detail:
             message = f"{message}: {detail}"
         super().__init__(message)
+
+    def __reduce__(self) -> tuple[type, tuple[int, int, str]]:
+        # Rebuilt from the constructor's own arguments, so the error a
+        # pool worker raises reaches the parent as a DeadlockError.
+        return type(self), (self.cycle, self.stalled_cycles, self.detail)
 
 
 class SimulationError(ReproError):

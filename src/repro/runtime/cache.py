@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 DEFAULT_CACHE_DIR = pathlib.Path("results") / ".cache"
 
 #: Salt injected by :func:`prime_code_version_salt`; worker processes
-#: receive the parent's salt through the pool initializer instead of
+#: receive the parent's salt when they start instead of
 #: re-hashing the whole package on first cache touch.
 _primed_salt: str | None = None
 
@@ -44,8 +44,8 @@ _primed_salt: str | None = None
 def prime_code_version_salt(salt: str) -> None:
     """Install a precomputed salt for this process.
 
-    Used as a ``ProcessPoolExecutor`` initializer (with the parent's
-    salt as initarg) so pool workers never pay the package re-hash of
+    A pool worker (:mod:`repro.runtime.workers`) calls it with its
+    parent's salt first thing, so it never pays the package re-hash of
     :func:`code_version_salt`.
     """
     global _primed_salt
@@ -132,11 +132,8 @@ class ResultCache:
         wire hand out exactly the bytes a fresh ``run_point`` of the
         same spec would serialize to.
         """
-        path = self.path_for(spec)
-        try:
-            payload = json.loads(path.read_text())
-            result = result_from_payload(payload)
-        except (OSError, ValueError, KeyError, TypeError):
+        result = self.get(spec)
+        if result is None:
             return None
         return canonical_json(result_payload(result)), result
 

@@ -4,10 +4,10 @@
 
 * serves points from the on-disk :class:`~repro.runtime.cache.ResultCache`
   when one is active,
-* fans the remaining points across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  when more than one job is requested (results are collected by index,
-  so output order always matches input order regardless of completion
-  order), and
+* runs the remaining points in-process with one job, or longest first
+  on the pool of :mod:`repro.runtime.workers` with more (results are
+  collected by index, so output order always matches input order
+  regardless of completion order), and
 * invokes a progress hook after every completed point.
 
 Defaults come from an ambient :func:`runtime_context`, so the CLI can
@@ -20,30 +20,26 @@ and ``REPRO_CACHE_DIR`` activates the on-disk cache.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Final, Iterable, Iterator, Sequence, cast
+from typing import TYPE_CHECKING, Callable, Final, Iterable, Iterator, Sequence, cast
 
 from ..core.errors import ConfigurationError
 from ..core.simulation import replica_seeds, simulate, simulate_batch
-from .cache import ResultCache, prime_code_version_salt
-from .memcache import GLOBAL_MEMCACHE, MemCache, entry_key
-from .serialization import canonical_json, result_payload
+from .cache import ResultCache
+from .memcache import GLOBAL_MEMCACHE, entry_key
+from .serialization import canonical_json, result_from_payload, result_payload
 from .spec import PointSpec
 from .telemetry import Progress, ProgressHook
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
     from ..core.simulation import SimulationResult
 
 
 class _UnsetType:
     """Sentinel type distinguishing "not passed" from an explicit ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<UNSET>"
 
 
 _UNSET: Final = _UnsetType()
@@ -115,32 +111,26 @@ def _tier_key(cache: ResultCache, spec_key: str) -> str:
 
 
 def cache_lookup(
-    cache: ResultCache,
-    spec: PointSpec,
-    spec_key: str | None = None,
-    *,
-    mem: MemCache | None = None,
+    cache: ResultCache, spec: PointSpec, spec_key: str | None = None
 ) -> "tuple[str, SimulationResult, str] | None":
-    """Two-tier lookup: memory first, then disk (promoting to memory).
+    """Two-tier lookup: the process-wide memory tier first, then disk
+    (promoting to memory).
 
     Returns ``(canonical_text, result, tier)`` with ``tier`` either
     ``"mem"`` or ``"disk"``, or ``None`` on a full miss.  The text is
     byte-identical to what a fresh ``run_point`` of the same spec would
     canonically serialize to, so services can return it verbatim.
-    ``mem`` selects the memory tier (default: the process-wide LRU).
     """
-    tier = mem if mem is not None else GLOBAL_MEMCACHE
     key = _tier_key(cache, spec_key if spec_key is not None else spec.key())
-    if tier.enabled:
-        hit = tier.get(key)
+    if GLOBAL_MEMCACHE.enabled:
+        hit = GLOBAL_MEMCACHE.get(key)
         if hit is not None:
             return hit[0], hit[1], "mem"
     entry = cache.get_entry(spec)
     if entry is None:
         return None
-    text, result = entry
-    tier.put(key, text, result)
-    return text, result, "disk"
+    GLOBAL_MEMCACHE.put(key, entry[0])
+    return entry[0], entry[1], "disk"
 
 
 def cache_store(
@@ -148,15 +138,12 @@ def cache_store(
     spec: PointSpec,
     result: SimulationResult,
     spec_key: str | None = None,
-    *,
-    mem: MemCache | None = None,
 ) -> str:
     """Write *result* through both tiers; returns its canonical text."""
-    tier = mem if mem is not None else GLOBAL_MEMCACHE
     text = canonical_json(result_payload(result))
     cache.put(spec, result)
     key = _tier_key(cache, spec_key if spec_key is not None else spec.key())
-    tier.put(key, text, result)
+    GLOBAL_MEMCACHE.put(key, text)
     return text
 
 
@@ -190,32 +177,6 @@ def _load_simulator(specs: "Iterable[PointSpec]" = ()) -> None:
         from ..core import engine, pm  # noqa: F401
 
 
-def _pool(workers: int, cache: ResultCache | None) -> ProcessPoolExecutor:
-    """A worker pool whose workers inherit the code salt.
-
-    Only misses reach this, so the process-pool stack
-    (``multiprocessing`` and friends) is imported here, not at module
-    level — and after :func:`_load_simulator`, which every caller runs
-    first: compiling the engine once the pool stack is loaded leaves
-    this process's peak RSS ~1.3 MB higher.  ``code_version_salt()`` is
-    memoized *per process*, so without priming every worker would
-    re-read the whole package's ``.py`` files on its first cache touch;
-    the initializer threads the salt the parent already computed (or
-    the active cache's pinned salt) into each worker before it runs
-    anything.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    salt = cache.salt if cache is not None else None
-    if salt is None:
-        return ProcessPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=prime_code_version_salt,
-        initargs=(salt,),
-    )
-
-
 def _expected_cost(spec: PointSpec) -> int:
     """Relative run time of one point: PM count x simulated cycles."""
     params = spec.params
@@ -223,13 +184,8 @@ def _expected_cost(spec: PointSpec) -> int:
 
 
 def _execute(spec: PointSpec) -> SimulationResult:
-    """Worker entry point: run one fully-resolved simulation point."""
+    """Run one fully-resolved simulation point, here or in a pool worker."""
     return simulate(spec.system, spec.workload, spec.params)
-
-
-def _execute_batch(spec: PointSpec, seeds: tuple[int, ...]) -> list[SimulationResult]:
-    """Worker entry point: run one point's seeds as a lockstep batch."""
-    return simulate_batch(spec.system, spec.workload, spec.params, seeds=seeds)
 
 
 def _replica_spec(spec: PointSpec, seed: int) -> PointSpec:
@@ -255,11 +211,11 @@ def run_replica_batch(
 
     Returns one :class:`SimulationResult` per seed, in seed order.
     ``seeds`` defaults to ``spec.params.seed .. seed + replicas - 1``.
-    Each replica is a first-class cache citizen: cached seeds are
-    served without simulating them, the missing seeds run as lockstep
-    batches (split across the process pool when ``jobs > 1``), and
-    every fresh result is stored under its own per-seed spec — exactly
-    the entry a solo ``run_point`` of that seed would read or write.
+    Each replica is a first-class cache citizen: its per-seed spec is
+    exactly the one a solo ``run_point`` of that seed reads or writes,
+    and :func:`run_points` serves and stores it as one.  With one job
+    the missing seeds run in-process as one lockstep batch; with more,
+    one point each on the pool.
 
     With ``spec.params.scheduler == "columnar"`` (the default) the
     batch runs on the C kernel tier instead
@@ -268,56 +224,14 @@ def run_replica_batch(
     that seed reads.
     """
     seeds = replica_seeds(spec.params, seeds)
-    jobs = resolve_jobs(jobs)
-    active_cache = _resolve_cache(cache)
-    hook = progress if progress is not None else _context.progress
-
     unique_seeds = tuple(dict.fromkeys(seeds))
-    tracker = Progress(total=len(unique_seeds))
-    by_seed: dict[int, SimulationResult] = {}
-    missing: list[int] = []
-    for seed in unique_seeds:
-        replica_spec = _replica_spec(spec, seed)
-        hit = cache_lookup(active_cache, replica_spec) if active_cache is not None else None
-        if hit is not None:
-            by_seed[seed] = hit[1]
-            tracker.done += 1
-            tracker.cache_hits += 1
-            if hit[2] == "mem":
-                tracker.memcache_hits += 1
-            if hook:
-                hook(tracker)
-        else:
-            missing.append(seed)
 
-    def _record(batch_results: list[SimulationResult]) -> None:
-        for result in batch_results:
-            seed = result.params.seed
-            by_seed[seed] = result
-            if active_cache is not None:
-                cache_store(active_cache, _replica_spec(spec, seed), result)
-            tracker.done += 1
-            if hook:
-                hook(tracker)
+    def lockstep(misses: list[PointSpec]) -> list[SimulationResult]:
+        missing = tuple(miss.params.seed for miss in misses)
+        return simulate_batch(spec.system, spec.workload, spec.params, seeds=missing)
 
-    workers = min(jobs, len(missing))
-    if missing and workers <= 1:
-        _record(_execute_batch(spec, tuple(missing)))
-    elif missing:
-        # Contiguous seed chunks, one lockstep batch per worker.
-        bound = -(-len(missing) // workers)  # ceil division
-        chunks = [
-            tuple(missing[start : start + bound])
-            for start in range(0, len(missing), bound)
-        ]
-        _load_simulator([spec])
-        from concurrent.futures import as_completed
-
-        with _pool(len(chunks), active_cache) as pool:
-            futures = [pool.submit(_execute_batch, spec, chunk) for chunk in chunks]
-            for future in as_completed(futures):
-                _record(future.result())
-
+    replicas = [_replica_spec(spec, seed) for seed in unique_seeds]
+    by_seed = dict(zip(unique_seeds, _run(replicas, jobs, cache, progress, lockstep)))
     return [by_seed[seed] for seed in seeds]
 
 
@@ -336,7 +250,17 @@ def run_points(
     progress: ProgressHook | None = None,
 ) -> list[SimulationResult]:
     """Run every point, in input order, honoring cache and job count."""
-    specs = list(specs)
+    return _run(list(specs), jobs, cache, progress, lambda misses: map(_execute, misses))
+
+
+def _run(
+    specs: list[PointSpec],
+    jobs: int | None,
+    cache: ResultCache | None | _UnsetType,
+    progress: ProgressHook | None,
+    in_process: Callable[[list[PointSpec]], Iterable[SimulationResult]],
+) -> list[SimulationResult]:
+    """:func:`run_points`, with *in_process* running the misses of one job."""
     jobs = resolve_jobs(jobs)
     active_cache = _resolve_cache(cache)
     hook = progress if progress is not None else _context.progress
@@ -346,7 +270,6 @@ def run_points(
     # Single-flight within the batch: repeated identical specs coalesce
     # onto one representative computation (points are deterministic, so
     # duplicates would reproduce the same result bit for bit anyway).
-    pending: list[int] = []
     followers: dict[int, list[int]] = {}
     rep_by_key: dict[str, int] = {}
     for index, spec in enumerate(specs):
@@ -369,14 +292,11 @@ def run_points(
         if rep is None:
             rep_by_key[spec_key] = index
             followers[index] = []
-            pending.append(index)
         else:
             followers[rep].append(index)
 
     def _record(index: int, result: SimulationResult) -> None:
         results[index] = result
-        if active_cache is not None:
-            cache_store(active_cache, specs[index], result)
         tracker.done += 1
         if hook:
             hook(tracker)
@@ -387,22 +307,33 @@ def run_points(
             if hook:
                 hook(tracker)
 
-    if pending and jobs == 1:
-        for index in pending:
-            _record(index, _execute(specs[index]))
-    elif pending:
-        _load_simulator(specs[i] for i in pending)
-        from concurrent.futures import as_completed
+    misses = list(rep_by_key.items())
+    if misses and jobs == 1:
+        computed = in_process([specs[index] for __, index in misses])
+        for (spec_key, index), result in zip(misses, computed):
+            if active_cache is not None:
+                cache_store(active_cache, specs[index], result, spec_key)
+            _record(index, result)
+    elif misses:
+        # The simulator first, the pool stack after: compiling the engine
+        # once ``multiprocessing`` is loaded leaves this process's peak
+        # RSS ~1.3 MB higher.
+        _load_simulator(specs[index] for __, index in misses)
+        from .workers import run_all
 
-        # Longest-expected-first: a big point submitted last would run
-        # alone while the other workers idle.  Results are filled by
-        # index, so output order is unaffected.
-        longest_first = sorted(
-            pending, key=lambda i: _expected_cost(specs[i]), reverse=True
-        )
-        with _pool(min(jobs, len(pending)), active_cache) as pool:
-            futures = {pool.submit(_execute, specs[i]): i for i in longest_first}
-            for future in as_completed(futures):
-                _record(futures[future], future.result())
+        # Longest-expected-first: a big point sent last would run alone
+        # while the other workers idle.  Results are filled by index, so
+        # output order is unaffected.
+        misses.sort(key=lambda miss: _expected_cost(specs[miss[1]]), reverse=True)
+
+        def _reply(rank: int, text: str) -> None:
+            # The worker wrote the disk entry: decode its text as a disk
+            # hit is decoded and keep it in the memory tier.
+            spec_key, index = misses[rank]
+            if active_cache is not None:
+                GLOBAL_MEMCACHE.put(_tier_key(active_cache, spec_key), text)
+            _record(index, result_from_payload(json.loads(text)))
+
+        run_all([specs[index] for __, index in misses], jobs, active_cache, _reply)
 
     return cast("list[SimulationResult]", results)  # every slot is filled above

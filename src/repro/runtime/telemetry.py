@@ -104,7 +104,7 @@ class ProgressPrinter:
             self._line_open = False
 
     def summary(self) -> str:
-        """Aggregate over every batch seen since the last ``reset()``."""
+        """Aggregate over every batch seen."""
         if self.points == 0:
             return "0 points"
         percent = 100.0 * self.cache_hits / self.points
@@ -115,10 +115,3 @@ class ProgressPrinter:
         if self.dedup_hits:
             line += f", {self.dedup_hits} deduplicated"
         return line
-
-    def reset(self) -> None:
-        self.finish_line()
-        self.points = 0
-        self.cache_hits = 0
-        self.memcache_hits = 0
-        self.dedup_hits = 0

@@ -84,6 +84,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def banner(service: SweepService) -> str:
+    """The start-up line: address, workers, cache tiers and code salt."""
+    mem = service.tiers.mem.enabled
+    if service.tiers.disk is not None:
+        tiers = "mem+disk" if mem else "disk-only"
+    else:
+        tiers = "mem-only" if mem else "no cache"
+    return (
+        f"repro-service listening on {service.host}:{service.port} "
+        f"({service.pools.shards} shards x "
+        f"{service.pools.workers_per_shard} workers, {tiers}, "
+        f"salt {service.salt})"
+    )
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     cache = None
@@ -106,18 +121,8 @@ def main(argv: "list[str] | None" = None) -> int:
             with contextlib.suppress(NotImplementedError):
                 loop.add_signal_handler(signum, service._stopping.set)
         await service.start()
-        tiers = "mem+disk" if cache is not None else "mem-only"
-        print(
-            f"repro-service listening on {service.host}:{service.port} "
-            f"({service.pools.shards} shards x "
-            f"{service.pools.workers_per_shard} workers, {tiers}, "
-            f"salt {service.salt})",
-            flush=True,
-        )
-        if not args.no_warm_up:
-            await loop.run_in_executor(None, service.pools.warm_up)
-        await service._stopping.wait()
-        await service._shutdown()
+        print(banner(service), flush=True)
+        await service.serve(warm_up=not args.no_warm_up)
         print("repro-service: clean shutdown", flush=True)
 
     asyncio.run(_main())

@@ -151,12 +151,10 @@ class SweepService:
         ]
 
     async def serve(self, *, warm_up: bool = False) -> None:
-        """Start, optionally pre-spawn workers, and run until shutdown."""
-        await self.start()
+        """After :meth:`start`: optionally pre-spawn the shard workers,
+        then serve until shutdown."""
         if warm_up:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.pools.warm_up
-            )
+            await asyncio.get_running_loop().run_in_executor(None, self.pools.warm_up)
         await self._stopping.wait()
         await self._shutdown()
 
@@ -355,9 +353,7 @@ class SweepService:
         derive_seed = bool(payload.pop("derive_seed", False))
         point = payload.pop("point", None)
         spec = self._parse_specs([point if point is not None else payload], derive_seed)[0]
-        text, source = await self.tiers.fetch(
-            spec, lambda: self.pools.run(spec, spec.key())
-        )
+        text, source = await self.tiers.fetch(spec, self.pools.run)
         await self._respond(
             writer,
             200,
@@ -496,9 +492,7 @@ class SweepService:
 
         async def run_one(index: int, spec: PointSpec) -> None:
             async with self._point_slots:
-                text, source = await self.tiers.fetch(
-                    spec, lambda: self.pools.run(spec, spec.key())
-                )
+                text, source = await self.tiers.fetch(spec, self.pools.run)
             job.results[index] = text
             job.sources[index] = source
             await job.events.append(
@@ -592,12 +586,7 @@ def start_in_thread(service: SweepService, *, warm_up: bool = False) -> ServiceH
                 ready.set()
                 raise
             ready.set()
-            if warm_up:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, service.pools.warm_up
-                )
-            await service._stopping.wait()
-            await service._shutdown()
+            await service.serve(warm_up=warm_up)
 
         asyncio.run(_serve())
 

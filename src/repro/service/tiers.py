@@ -72,14 +72,14 @@ class TieredCache:
     async def fetch(
         self,
         spec: PointSpec,
-        compute: Callable[[], Awaitable[str]],
+        compute: Callable[[PointSpec, str], Awaitable[str]],
     ) -> "tuple[str, str]":
         """Serve one point: ``(canonical_text, source)``.
 
-        *compute* is only awaited on a full miss with no identical
-        request already in flight; it returns the point's canonical
-        text and has written the disk entry itself (a shard worker
-        does, see :mod:`repro.service.shards`).
+        ``compute(spec, spec_key)`` is only awaited on a full miss with
+        no identical request already in flight; it returns the point's
+        canonical text and has written the disk entry itself (a shard
+        worker does, see :mod:`repro.service.shards`).
         """
         spec_key = spec.key()
         hit = self.lookup(spec, spec_key)
@@ -96,7 +96,7 @@ class TieredCache:
         future: asyncio.Future[str] = asyncio.get_running_loop().create_future()
         self._inflight[spec_key] = future
         try:
-            text = await compute()
+            text = await compute(spec, spec_key)
             self.mem.put(self._mem_key(spec_key), text)
         except BaseException as exc:
             if not future.cancelled():

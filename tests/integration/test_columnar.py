@@ -45,7 +45,7 @@ from repro.core.config import (
 )
 from repro.core.errors import ConfigurationError, DeadlockError
 from repro.core.simulation import simulate, simulate_batch
-from repro.runtime import PointSpec, ResultCache, run_point, runner
+from repro.runtime import PointSpec, ResultCache, run_points
 from repro.runtime.runner import run_replica_batch
 from repro.runtime.serialization import (
     canonical_json,
@@ -560,21 +560,21 @@ class TestCacheFidelity:
         assert restored.seed == PARAMS.seed
         assert params_from_payload(params_payload(PARAMS)) == restored
 
-    def test_replica_batch_fills_the_entries_compiled_reads(self, tmp_path, monkeypatch):
+    def test_replica_batch_fills_the_entries_compiled_reads(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = PointSpec(RING, WORKLOAD, replace(PARAMS, replicas=3))
         batch = run_replica_batch(spec, cache=cache)
         assert [r.params.seed for r in batch] == [7, 8, 9]
 
-        def no_simulation(spec):
-            raise AssertionError(f"cache miss: {spec}")
-
-        monkeypatch.setattr(runner, "_execute", no_simulation)
         for result in batch:
             solo = replace(PARAMS, scheduler="compiled", seed=result.params.seed)
-            hit = run_point(PointSpec(RING, WORKLOAD, solo), cache=cache)
+            trackers = []
+            (hit,) = run_points(
+                [PointSpec(RING, WORKLOAD, solo)], jobs=1, cache=cache,
+                progress=trackers.append,
+            )
+            assert trackers[-1].cache_hits == 1, f"cache miss: {solo}"
             assert payloads([hit]) == payloads([result])
-        monkeypatch.undo()
         # and the other way round: the bytes a solo run computes
         assert payloads(batch) == compiled_payloads(RING, WORKLOAD, PARAMS, (7, 8, 9))
 

@@ -34,6 +34,7 @@ FORBIDDEN = (
     "numpy",
     "multiprocessing",
     "concurrent.futures.process",
+    "repro.runtime.workers",
 )
 
 # Shared head of every child: `stage(label)` records which forbidden
@@ -90,19 +91,19 @@ finish()
 """
 
 _POOLED_MISS = _PRELUDE + _POINTS + """
-import concurrent.futures.process as pool_module
+from repro.runtime import workers
 
-init = pool_module.ProcessPoolExecutor.__init__
-report["engine_loaded_at_pool_creation"] = []
-report["kernel_bound_at_pool_creation"] = []
+start = workers.Worker.start
+report["engine_loaded_at_worker_start"] = []
+report["kernel_bound_at_worker_start"] = []
 
-def spy(self, *args, **kwargs):
-    report["engine_loaded_at_pool_creation"].append("repro.core.engine" in sys.modules)
+def spy(self, *args):
+    report["engine_loaded_at_worker_start"].append("repro.core.engine" in sys.modules)
     kernel = sys.modules.get("repro.core.ckernel")
-    report["kernel_bound_at_pool_creation"].append(kernel is not None and kernel._lib is not None)
-    init(self, *args, **kwargs)
+    report["kernel_bound_at_worker_start"].append(kernel is not None and kernel._lib is not None)
+    start(self, *args)
 
-pool_module.ProcessPoolExecutor.__init__ = spy
+workers.Worker.start = spy
 # the all-kernel list first: the mixed one leaves the engine loaded
 slotted = point(RingSystemConfig(topology="4", switching="slotted"))
 report["results"] = [
@@ -275,10 +276,11 @@ def test_pooled_miss_loads_the_simulator_before_the_pool_exists(run_child):
     report = run_child(_POOLED_MISS)
     assert report["results"] == [2, 2]
     kernel = report["kernel_available"]
-    assert report["engine_loaded_at_pool_creation"] == [not kernel, True]
+    # two workers per sweep, each started holding what its points need
+    assert report["engine_loaded_at_worker_start"] == [not kernel] * 2 + [True] * 2
     # ... and the C kernel, where the host has one, already bound: the
     # forked workers inherit the mapping instead of each building it
-    assert report["kernel_bound_at_pool_creation"] == [kernel, kernel]
+    assert report["kernel_bound_at_worker_start"] == [kernel] * 4
 
 
 def test_served_miss_leaves_the_engine_out_of_the_service_parent(run_child, tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the parallel point runner: ordering, caching, determinism."""
 
 import json
-from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -10,7 +9,7 @@ from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
 from repro.core.errors import ConfigurationError
 from repro.experiments._shared import clear_sweep_caches
 from repro.experiments.base import Scale, get_experiment
-from repro.runtime import runner
+from repro.runtime import workers
 from repro.runtime import (
     PointSpec,
     Progress,
@@ -79,26 +78,18 @@ class TestStragglers:
     def test_pool_path_submits_longest_expected_first(self, monkeypatch):
         """Cost is PM count x simulated cycles; ties keep spec order and
         results still come back in input order."""
-        submitted = []
+        sent = []
+        run_all = workers.run_all
 
-        class InlinePool:
-            def __enter__(self):
-                return self
+        def spy(specs, *args):
+            sent.extend(specs)  # the pool sends them in this order
+            return run_all(specs, *args)
 
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, spec):
-                submitted.append(spec)
-                future = Future()
-                future.set_result(fn(spec))
-                return future
-
-        monkeypatch.setattr(runner, "_pool", lambda workers, cache: InlinePool())
+        monkeypatch.setattr(workers, "run_all", spy)
         long_small = replace(SPECS[0], params=replace(PARAMS, batches=5))  # 3 PMs x 500
         specs = [SPECS[1], SPECS[3], long_small, SPECS[2], SPECS[3]]  # costs 800, 1200, 1500, 1000, dup
         results = run_points(specs, jobs=2, cache=None)
-        assert submitted == [long_small, SPECS[3], SPECS[2], SPECS[1]]
+        assert sent == [long_small, SPECS[3], SPECS[2], SPECS[1]]
         assert [r.system.processors for r in results] == [4, 6, 3, 5, 6]
         assert results[2].params.batches == 5
 

@@ -6,12 +6,16 @@
   service keeps serving;
 * a request cancelled while its point runs: the worker stays reserved
   until the late reply has been read and dropped, so that reply never
-  answers the next point.
+  answers the next point;
+* a worker forked lazily, mid-request: it holds none of the service's
+  descriptors, so a connection the service closes is EOF for its client.
 """
 
 import asyncio
+import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -202,3 +206,40 @@ class TestCancellation:
             else:
                 assert outcome == _direct(spec), index
         assert again == [_direct(spec) for spec in specs[:4]]
+
+
+class TestForkHygiene:
+    def test_connection_closed_by_the_service_is_eof_while_the_lazy_worker_lives(
+        self, tmp_path
+    ):
+        """``--no-warm-up``: the first point forks its worker while the
+        client's connection is open.  The service answers and closes it
+        (``Connection: close``); the client must read EOF at once, not
+        when that worker exits."""
+        svc = SweepService(
+            "127.0.0.1", 0, shards=1, workers_per_shard=1,
+            cache=ResultCache(tmp_path), mem=MemCache(), job_workers=1,
+        )
+        handle = start_in_thread(svc)
+        try:
+            assert svc.pools._workers[0].process is None  # nothing forked yet
+            body = json.dumps(SHORT.payload()).encode()
+            with socket.create_connection(("127.0.0.1", svc.port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /points HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                response = b""
+                while True:
+                    chunk = sock.recv(65536)  # socket.timeout fails the test
+                    if not chunk:
+                        break
+                    response += chunk
+            assert response.startswith(b"HTTP/1.1 200")
+            assert response.endswith(_direct(SHORT).encode())
+            worker = svc.pools._workers[0].process
+            assert worker is not None and worker.is_alive()
+        finally:
+            ServiceClient("127.0.0.1", svc.port).shutdown()
+            handle.stop()
+        assert not handle.thread.is_alive()

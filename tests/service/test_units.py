@@ -10,7 +10,8 @@ from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
 from repro.core.simulation import simulate
 from repro.runtime import MemCache, PointSpec, ResultCache, code_version_salt, run_point
 from repro.runtime.serialization import canonical_json, result_payload
-from repro.service import EventLog, Job, JobQueue, ShardedPools, TieredCache
+from repro.service import EventLog, Job, JobQueue, ShardedPools, SweepService, TieredCache
+from repro.service.__main__ import banner
 
 WORKLOAD = WorkloadConfig(locality=1.0, miss_rate=0.1, outstanding=4)
 PARAMS = SimulationParams(batch_cycles=100, batches=2, seed=7)
@@ -123,15 +124,19 @@ class TestTieredCache:
 
         async def run():
             tiers = TieredCache(None, MemCache())
+            calls = []
 
-            async def compute():
+            async def compute(*args):
+                calls.append(args)
                 return expected
 
             first = await tiers.fetch(spec, compute)
             second = await tiers.fetch(spec, compute)
-            return first, second, dict(tiers.counters)
+            return first, second, dict(tiers.counters), calls
 
-        first, second, counters = asyncio.run(run())
+        first, second, counters, calls = asyncio.run(run())
+        # compute is handed the key the tiers already computed
+        assert calls == [(spec, spec.key())]
         assert first == (expected, "computed")
         assert second == (expected, "mem")
         assert counters["computed"] == 1 and counters["mem"] == 1
@@ -145,7 +150,7 @@ class TestTieredCache:
         async def run():
             tiers = TieredCache(disk, MemCache())
 
-            async def compute():
+            async def compute(spec, spec_key):
                 disk.put(spec, simulate(spec.system, spec.workload, spec.params))
                 return expected
 
@@ -165,7 +170,7 @@ class TestTieredCache:
             release = asyncio.Event()
             calls = 0
 
-            async def compute():
+            async def compute(spec, spec_key):
                 nonlocal calls
                 calls += 1
                 await release.wait()
@@ -196,7 +201,7 @@ class TestTieredCache:
             tiers = TieredCache(None, MemCache())
             release = asyncio.Event()
 
-            async def explode():
+            async def explode(spec, spec_key):
                 await release.wait()
                 raise RuntimeError("boom")
 
@@ -211,7 +216,7 @@ class TestTieredCache:
                 await waiter
             assert tiers.inflight == 0
 
-            async def recover():
+            async def recover(spec, spec_key):
                 return expected
 
             return await tiers.fetch(spec, recover)
@@ -228,7 +233,8 @@ class TestTieredCache:
 _WARMED_WORKER = """
 import asyncio, json, sys
 from repro.runtime import PointSpec, code_version_salt
-from repro.service import ShardedPools, shards
+from repro.runtime import workers
+from repro.service import ShardedPools
 
 def simulator_loaded(spec, cache):
     kernel = sys.modules.get("repro.core.ckernel")
@@ -241,7 +247,7 @@ def simulator_loaded(spec, cache):
         ],
     })
 
-shards._answer = simulator_loaded
+workers._answer = simulator_loaded
 pools = ShardedPools(1, 1, code_version_salt())
 try:
     pools.warm_up()
@@ -291,3 +297,34 @@ class TestShardedPools:
         tiers = TieredCache(ResultCache(tmp_path, salt), MemCache())
         assert tiers.lookup(spec, spec.key()) == (text, "disk")
         assert len(list(tmp_path.rglob("*.json"))) == 1
+
+
+class TestBanner:
+    @pytest.mark.parametrize(
+        ("disk", "mem_entries", "tiers"),
+        [
+            (True, 100, "mem+disk"),
+            (True, 0, "disk-only"),
+            (False, 100, "mem-only"),
+            (False, 0, "no cache"),
+        ],
+    )
+    def test_start_up_line_names_the_tiers_that_serve(
+        self, tmp_path, disk, mem_entries, tiers
+    ):
+        """``--mem-entries 0`` (or ``--mem-bytes 0``) turns the memory
+        tier off, ``--no-cache`` the disk tier; the line says which
+        are left."""
+        service = SweepService(
+            "127.0.0.1",
+            8650,
+            shards=3,
+            workers_per_shard=2,
+            cache=ResultCache(tmp_path, "feedfacecafebeef") if disk else None,
+            mem=MemCache(max_entries=mem_entries),
+        )
+        line = banner(service)
+        assert line.startswith("repro-service listening on 127.0.0.1:8650 (")
+        assert f"(3 shards x 2 workers, {tiers}, salt " in line
+        if disk:
+            assert line.endswith("salt feedfacecafebeef)")
