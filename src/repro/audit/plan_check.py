@@ -14,12 +14,12 @@ topology it draws.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import fields
+from types import MappingProxyType
 from typing import Any
 
 from ..core.config import WorkloadConfig
-from ..core.plan import SINK_CAP, TopologyPlan, target_pool_rows, topology_plan
+from ..core.plan import SINK_CAP, TopologyPlan, build_plan, target_pool_rows
 from ..core.processor import MissGenerator
 from ..core.simulation import SystemConfig, build_network
 from ..core.statistics import MetricsHub
@@ -87,19 +87,19 @@ def plan_from_network(network: "HierarchicalRingNetwork | MeshNetwork") -> Topol
 
     return TopologyPlan(
         processors=len(network.pms),
-        levels=levels,
-        opportunities_per_cycle={
-            level: network.opportunities(1, level) for level in levels
-        },
+        levels=tuple(levels),
+        opportunities_per_cycle=MappingProxyType(
+            {level: network.opportunities(1, level) for level in levels}
+        ),
         header_flits=geometry.header_flits,
         cl_flits=geometry.cl_packet_flits,
         memory_latency=int(network.pms[0].memory.latency),
-        buffer_names=names,
-        caps=caps,
-        sink_pm=sink_pm,
-        out_resp=[index[id(pm.out_resp)] for pm in network.pms],
-        out_req=[index[id(pm.out_req)] for pm in network.pms],
-        iri_contracts=iri_contracts,
+        buffer_names=tuple(names),
+        caps=tuple(caps),
+        sink_pm=tuple(sink_pm),
+        out_resp=tuple(index[id(pm.out_resp)] for pm in network.pms),
+        out_req=tuple(index[id(pm.out_req)] for pm in network.pms),
+        iri_contracts=tuple(iri_contracts),
         pool=pool,
         pool_row=pool_row,
         **ports,
@@ -146,11 +146,11 @@ def _ring_ports(
 
     return dict(
         kind="ring",
-        port_names=[p.name for p in ports],
-        srcs=srcs,
-        routes=routes,
-        fast=fast,
-        lvl=lvl,
+        port_names=tuple(p.name for p in ports),
+        srcs=tuple(map(tuple, srcs)),
+        routes=tuple(routes),
+        fast=tuple(fast),
+        lvl=tuple(lvl),
         subcycles=2 if any(fast) else 1,
     )
 
@@ -183,23 +183,28 @@ def _mesh_ports(network: MeshNetwork, index: dict[int, int]) -> dict[str, Any]:
 
     return dict(
         kind="mesh",
-        port_names=port_names,
+        port_names=tuple(port_names),
         subcycles=1,
         routers=len(routers),
-        m_router=m_router,
-        m_dir=m_dir,
-        m_dst=m_dst,
-        m_chan=m_chan,
-        in_buf=in_buf,
-        lq_resp=lq_resp,
-        lq_req=lq_req,
-        route_flat=array("q", list(b"".join(ecube_next_hop_rows(network.shape)))),
+        m_router=tuple(m_router),
+        m_dir=tuple(m_dir),
+        m_dst=tuple(m_dst),
+        m_chan=tuple(m_chan),
+        in_buf=tuple(in_buf),
+        lq_resp=tuple(lq_resp),
+        lq_req=tuple(lq_req),
+        route_flat=tuple(b"".join(ecube_next_hop_rows(network.shape))),
     )
 
 
 def plan_problem(system: SystemConfig, workload: WorkloadConfig) -> str | None:
-    """First field in which the plan differs from the walk, or ``None``."""
-    plan = topology_plan(system, workload)
+    """First field in which the plan differs from the walk, or ``None``.
+
+    The plan is computed afresh (:func:`~repro.core.plan.build_plan`),
+    not taken from the per-process cache, so what is checked is the
+    arithmetic as it stands.
+    """
+    plan = build_plan(system, workload)
     walked = plan_from_network(build_network(system, workload, MetricsHub(), seed=0))
     for spec in fields(TopologyPlan):
         ours, theirs = getattr(plan, spec.name), getattr(walked, spec.name)

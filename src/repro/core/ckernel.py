@@ -16,7 +16,11 @@ agreement rests on one shared stream and three structural facts:
 * **The miss stream is the object model's.**  Each (replica, pm)
   column owns an MT19937 state seeded by ``init_by_array`` over the
   little-endian 32-bit words of ``abs(seed * 1_000_003 + pm)`` — what
-  ``random.Random(n)`` does — and ``draw_gap`` / the generate loop
+  ``random.Random(n)`` does.  ``seed_streams`` mixes eight columns at a
+  time: one column's ``init_by_array`` is a chain of 1,247 dependent
+  steps, so it runs blocks of columns whose keys have the same width
+  side by side through a transposed scratch block, and each column
+  still ends with its own key's words.  ``draw_gap`` / the generate loop
   consume it exactly as ``MissGenerator._advance_schedule`` does: one
   ``random()`` per unblocked cycle until ``< miss_rate``, then
   ``random() < read_fraction``, then the selector's
@@ -331,25 +335,42 @@ enum {
 #define MT_M 397
 #define MT_STATE (MT_N + 1)
 
-/* random.seed(n) is init_genrand(19650218), the same 624 words for every
-   key, then init_by_array's two mixing passes over abs(n)'s
-   little-endian words: mt arrives holding the former. */
-static void mt_mix(u32 *mt, const u32 *key, u32 klen)
+/* random.seed(n) is init_genrand(19650218) -- the same 624 words for
+   every key -- then init_by_array's two mixing passes over abs(n)'s
+   klen little-endian words.  Each step of a pass reads the word the
+   step before it wrote, so one column is one long dependency chain;
+   columns are independent, so seed_streams mixes SEED_BLOCK columns
+   whose keys have one width side by side, through a transposed block
+   (word i of lane c at blk[i][c]).  Every lane takes the one-column
+   loop's steps, so each ends with the words random.Random holds for
+   its key. */
+#define SEED_BLOCK 8
+
+static void mt_mix_block(u32 blk[MT_N][SEED_BLOCK],
+                         const u32 *const key[SEED_BLOCK], u32 klen)
 {
-    u32 i = 1, j = 0, k;
+    u32 i = 1, j = 0, k, c;
     for (k = MT_N > klen ? MT_N : klen; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
-                + key[j] + j;
-        if (++i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
+        for (c = 0; c < SEED_BLOCK; c++) {
+            u32 p = blk[i - 1][c];
+            blk[i][c] = (blk[i][c] ^ ((p ^ (p >> 30)) * 1664525U)) + key[c][j] + j;
+        }
+        if (++i >= MT_N) {
+            for (c = 0; c < SEED_BLOCK; c++) blk[0][c] = blk[MT_N - 1][c];
+            i = 1;
+        }
         if (++j >= klen) j = 0;
     }
     for (k = MT_N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
-                - i;
-        if (++i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
+        for (c = 0; c < SEED_BLOCK; c++) {
+            u32 p = blk[i - 1][c];
+            blk[i][c] = (blk[i][c] ^ ((p ^ (p >> 30)) * 1566083941U)) - i;
+        }
+        if (++i >= MT_N) {
+            for (c = 0; c < SEED_BLOCK; c++) blk[0][c] = blk[MT_N - 1][c];
+            i = 1;
+        }
     }
-    mt[0] = 0x80000000U;
-    mt[MT_N] = MT_N;
 }
 
 #define MT_TWIST(a, b, c) do {                                       \
@@ -433,27 +454,52 @@ static i64 draw_gap(u32 *mt, i64 thr, i64 chunk, u8 *more)
     return chunk;
 }
 
+/* The words of a key-table row random.seed uses: up to the last
+   non-zero one, or one zero word. */
+static u32 key_len(const u32 *row, u32 width)
+{
+    while (width > 1 && row[width - 1] == 0) width--;
+    return width;
+}
+
 /* Seed every column from its row of the key table (zero-padded to the
-   widest key; random.seed uses the words up to the last non-zero one,
-   or one zero word) and draw its first gap. */
+   widest key) and draw its first gap.  A block is a run of up to
+   SEED_BLOCK consecutive columns whose keys have one width; a lane no
+   column fills re-mixes the block's first key and is never copied out. */
 void seed_streams(void **A, const i64 *pr)
 {
     i64 *cd     = (i64 *)A[A_CD];
     u8  *more   = (u8  *)A[A_MORE];
     u32 *mtv    = (u32 *)A[A_MT];
     u32 *keys   = (u32 *)A[A_MTKEY];
+    const i64 npm = pr[P_NPM];
+    const u32 keyw = (u32)pr[P_KEYW];
     u32 genrand[MT_N];
+    u32 blk[MT_N][SEED_BLOCK];
     genrand[0] = 19650218U;
     for (u32 i = 1; i < MT_N; i++)
         genrand[i] = 1812433253U * (genrand[i - 1] ^ (genrand[i - 1] >> 30)) + i;
-    for (i64 f = 0; f < pr[P_NPM]; f++) {
-        u32 *mt = mtv + f * MT_STATE;
-        const u32 *key = keys + f * pr[P_KEYW];
-        u32 klen = (u32)pr[P_KEYW];
-        while (klen > 1 && key[klen - 1] == 0) klen--;
-        for (u32 i = 0; i < MT_N; i++) mt[i] = genrand[i];
-        mt_mix(mt, key, klen);
-        cd[f] = draw_gap(mt, pr[P_MISSTHR], pr[P_CHUNK], more + f);
+    for (i64 f0 = 0; f0 < npm;) {
+        const u32 *key[SEED_BLOCK];
+        const u32 klen = key_len(keys + f0 * keyw, keyw);
+        u32 n = 1;
+        while (n < SEED_BLOCK && f0 + n < npm &&
+               key_len(keys + (f0 + n) * keyw, keyw) == klen)
+            n++;
+        for (u32 c = 0; c < SEED_BLOCK; c++)
+            key[c] = keys + (f0 + (c < n ? c : 0)) * keyw;
+        for (u32 i = 0; i < MT_N; i++)
+            for (u32 c = 0; c < SEED_BLOCK; c++) blk[i][c] = genrand[i];
+        mt_mix_block(blk, key, klen);
+        for (u32 c = 0; c < n; c++) {
+            const i64 f = f0 + c;
+            u32 *mt = mtv + f * MT_STATE;
+            mt[0] = 0x80000000U;
+            for (u32 i = 1; i < MT_N; i++) mt[i] = blk[i][c];
+            mt[MT_N] = MT_N;
+            cd[f] = draw_gap(mt, pr[P_MISSTHR], pr[P_CHUNK], more + f);
+        }
+        f0 += n;
     }
 }
 

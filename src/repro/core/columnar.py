@@ -28,10 +28,16 @@ holds the kernel to that over fabrics, loads, flow controls, patterns
 and seeds — so columnar results are ordinary canonical cache entries.
 This module builds the columns from the point's topology plan
 (:func:`repro.core.plan.topology_plan`: one replica's tables, computed
-from the spec without building an object network, tiled across the
-batch by the kernel's ``tile_offset`` / ``ring_routes``), hands them to
-the kernel and closes each batch's tallies into the batch-means meters
-every entry point shares (:class:`repro.core.simulation.BatchMeters`); the
+from the spec without building an object network), hands them to the
+kernel and closes each batch's tallies into the batch-means meters
+every entry point shares (:class:`repro.core.simulation.BatchMeters`).
+What a point costs before its first cycle is what its seeds cost: the
+plan is computed once per topology per process and is immutable, and
+its static columns — tiled across the batch by the kernel's
+``tile_offset`` / ``ring_routes`` — are a :class:`ColumnLayout` built
+once per (plan, replica count) and shared by reference by every engine
+of that pair, which the kernel only reads; an engine allocates its
+dynamic state, builds its pointer table and seeds its streams.  The
 audit tier can materialize a replica's columns back into object form at
 sampled cycles (:mod:`repro.audit.stat_equiv`) and holds the network
 walk the plan replaced as its oracle (:mod:`repro.audit.plan_check`).
@@ -59,7 +65,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -72,7 +80,7 @@ from .config import (
     WorkloadConfig,
 )
 from .errors import ConfigurationError, DeadlockError
-from .plan import SINK_CAP, topology_plan
+from .plan import SINK_CAP, TopologyPlan, topology_plan
 from .processor import LOOKAHEAD_CHUNK
 
 if TYPE_CHECKING:
@@ -148,8 +156,163 @@ def _stream_keys(seeds: Sequence[int], processors: int) -> list[int]:
     return [abs(seed * 1_000_003 + pm) for seed in seeds for pm in range(processors)]
 
 
+#: Column layouts one process keeps, per (plan, replica count); beyond
+#: it the least recently used is dropped.
+LAYOUT_CACHE_SIZE = 8
+
+
+class ColumnLayout:
+    """One plan's static columns tiled across *replicas* — shared.
+
+    Everything here is a function of the plan and the replica count
+    alone: buffer capacities and sink flags, the ring ports' priority
+    sources, routing table, speed and level columns, the mesh ports'
+    destinations, directions and input tables, the PM and replica of
+    every (replica, pm) column, the staging queues and their
+    capacities, the target pools, and the constant part of the kernel's
+    parameter vector.  :func:`column_layout` builds it once per (plan,
+    replica count) and every :class:`ColumnarEngine` of that pair points
+    the kernel at the same arrays; the kernel only reads them.
+    """
+
+    __slots__ = (
+        "plan", "sent", "smask", "blog", "cap", "is_sink",
+        "sink_pm", "r_of_port", "psrc3", "rt_tbl", "fast", "lvl_of",
+        "m_dst", "m_dir", "m_router5", "in_buf", "lq_resp", "lq_req",
+        "route", "pm_local", "r_of_pm", "stg_q", "stg_qcap", "pool",
+        "pool_row", "prm",
+    )
+
+    def __init__(self, kernel: ctypes.CDLL, plan: TopologyPlan, replicas: int):
+        self.plan = plan
+        R = replicas
+        B = len(plan.buffer_names)
+        P = plan.processors
+        L = len(plan.levels)
+        U = len(plan.port_names)
+        V = plan.routers
+        NB = R * B
+        self.sent = NB  # sentinel buffer: occupancy pinned to 0
+
+        def tiled(column: Sequence[int], stride: int, none: int = -1) -> "array[int]":
+            """*column* once per replica, replica ``r``'s copy shifted by
+            ``r * stride`` (negative entries become *none*, unshifted)."""
+            src = array("q", column)
+            out = _ints(len(src) * R)
+            kernel.tile_offset(_addr(out), _addr(src), len(src), R, stride, none)
+            return out
+
+        def tiled_buffers(column: Sequence[int]) -> "array[int]":
+            """A buffer-id column across replicas (-1 -> the sentinel)."""
+            return tiled(column, B, NB)
+
+        capm = _pow2(max(cap for cap in plan.caps if cap < SINK_CAP))
+        self.smask = capm - 1
+        self.blog = capm.bit_length() - 1
+        self.cap = array("q", plan.caps) * R
+        self.cap.append(SINK_CAP)
+        self.is_sink = array("B", [pm >= 0 for pm in plan.sink_pm]) * R
+        self.is_sink.append(0)
+        self.sink_pm = tiled(plan.sink_pm, P)
+        self.sink_pm.append(-1)
+        self.r_of_port = tiled([0] * U, 1)
+
+        # the other fabric's slots: any valid column, never read
+        self.psrc3 = self.rt_tbl = self.fast = self.m_dst = self.m_dir = self.cap
+        self.m_router5 = self.in_buf = self.lq_resp = self.lq_req = self.route = self.cap
+        if plan.kind == "ring":
+            # (3, NU): the j-th priority source of every port
+            self.psrc3 = array("q")
+            for column in plan.srcs:
+                self.psrc3 += tiled_buffers(column)
+            # Flat routing table: port x (2*dest + is_resp) -> output
+            # buffer.  One gather replaces the classifier compare/where
+            # chain in the propose hot path.
+            self.rt_tbl = _ints(R * U * P * 2)
+            routes = array("q", plan.routes)
+            kernel.ring_routes(_addr(self.rt_tbl), _addr(routes), U, P, R, B)
+            self.fast = array("B", plan.fast) * R
+            self.lvl_of = tiled(plan.lvl, L)
+        else:
+            self.m_dst = tiled_buffers(plan.m_dst)
+            self.m_dir = array("q", plan.m_dir) * R
+            self.m_router5 = tiled([5 * v for v in plan.m_router], 5 * V)
+            self.in_buf = tiled_buffers(plan.in_buf)
+            self.lq_resp = tiled_buffers(plan.lq_resp)
+            self.lq_req = tiled_buffers(plan.lq_req)
+            self.route = array("q", plan.route_flat)
+            # ejection ports carry no channel: tallied in a spare slot
+            self.lvl_of = tiled([0 if chan else -1 for chan in plan.m_chan], L, none=R * L)
+
+        self.pm_local = array("q", range(P)) * R
+        self.r_of_pm = tiled([0] * P, 1)
+        # Staging: responses occupy columns [0, R*P), requests
+        # [R*P, 2*R*P), each draining into its PM's output queue.
+        self.stg_q = array("q")
+        self.stg_qcap = array("q")
+        for queues in (plan.out_resp, plan.out_req):
+            self.stg_q += tiled_buffers(queues)
+            self.stg_qcap += array("q", [plan.caps[q] for q in queues]) * R
+        self.pool = array("q", plan.pool)
+        self.pool_row = array("q", plan.pool_row)
+
+        prm = self.prm = _ints(PRM.COUNT)
+        prm[PRM.KIND] = 0 if plan.kind == "ring" else 1
+        prm[PRM.R] = R
+        prm[PRM.U] = U
+        prm[PRM.P] = P
+        prm[PRM.L] = L
+        prm[PRM.NB] = NB
+        prm[PRM.NU] = R * U
+        prm[PRM.NPM] = R * P
+        prm[PRM.V] = V
+        prm[PRM.SENT] = NB
+        prm[PRM.SMASK] = self.smask
+        prm[PRM.BLOG] = self.blog
+        prm[PRM.SUBC] = plan.subcycles
+        prm[PRM.MEM_LAT] = plan.memory_latency
+        prm[PRM.HDR] = plan.header_flits
+        prm[PRM.CL] = plan.cl_flits
+        prm[PRM.CHUNK] = LOOKAHEAD_CHUNK
+
+
+_layouts: "OrderedDict[tuple[int, int], ColumnLayout]" = OrderedDict()
+_layouts_lock = threading.Lock()
+
+
+def column_layout(kernel: ctypes.CDLL, plan: TopologyPlan, replicas: int) -> ColumnLayout:
+    """The shared :class:`ColumnLayout` of *plan* over *replicas*.
+
+    Keyed on the plan object itself (a layout holds its plan, so the
+    identity cannot be reused while the entry lives): a plan the cache
+    in :func:`~repro.core.plan.topology_plan` hands out again gets the
+    same columns, any other plan its own.
+    """
+    key = (id(plan), replicas)
+    with _layouts_lock:
+        layout = _layouts.get(key)
+        if layout is not None and layout.plan is plan:
+            _layouts.move_to_end(key)
+            return layout
+    layout = ColumnLayout(kernel, plan, replicas)
+    with _layouts_lock:
+        held = _layouts.get(key)
+        if held is not None and held.plan is plan:
+            return held  # a racing thread's, built first
+        _layouts[key] = layout
+        _layouts.move_to_end(key)
+        while len(_layouts) > LAYOUT_CACHE_SIZE:
+            _layouts.popitem(last=False)
+    return layout
+
+
 class ColumnarEngine:
-    """All replicas of one simulation point as flat columns for the kernel."""
+    """All replicas of one simulation point as flat columns for the kernel.
+
+    The static columns come from the shared :class:`ColumnLayout` of the
+    point's plan; an engine allocates only its dynamic state, its
+    pointer table, and its miss streams.
+    """
 
     def __init__(
         self,
@@ -196,8 +359,15 @@ class ColumnarEngine:
         self._t_caps = plan.caps
         self._t_port_names = plan.port_names
         self._routers_per_replica = plan.routers
-        self._route_flat = plan.route_flat
-        # ---- tile across replicas + allocate dynamic state ----
+        # ---- the shared static columns, tiled across replicas ----
+        layout = self._layout = column_layout(kernel, plan, self.replicas)
+        self._sent = layout.sent
+        self._smask = layout.smask
+        self._blog = layout.blog
+        self._is_sink = layout.is_sink
+        self._m_router5 = layout.m_router5
+        self._route_flat = layout.route
+        # ---- this point's dynamic state ----
         self._build_state()
         # ---- pointer/param tables; seed and prime the miss streams ----
         self._k_init()
@@ -205,22 +375,6 @@ class ColumnarEngine:
     # ------------------------------------------------------------------
     # replica-tiled dynamic state
     # ------------------------------------------------------------------
-    def _tiled(
-        self, column: Sequence[int], stride: int, none: int = -1
-    ) -> "array[int]":
-        """*column* once per replica, replica ``r``'s copy shifted by
-        ``r * stride`` (negative entries become *none*, unshifted)."""
-        src = array("q", column)
-        out = _ints(len(src) * self.replicas)
-        self._kernel.tile_offset(
-            _addr(out), _addr(src), len(src), self.replicas, stride, none
-        )
-        return out
-
-    def _tiled_buffers(self, column: Sequence[int]) -> "array[int]":
-        """A buffer-id column across replicas (-1 -> the sentinel)."""
-        return self._tiled(column, self.buffers_per_replica, self._sent)
-
     def _build_state(self) -> None:
         plan = self.plan
         R = self.replicas
@@ -228,67 +382,30 @@ class ColumnarEngine:
         P = self.processors
         L = len(self.levels)
         NB = R * B
-        self._sent = NB  # sentinel buffer: occupancy pinned to 0
-
-        capm = _pow2(max(cap for cap in plan.caps if cap < SINK_CAP))
-        self._smask = capm - 1
-        self._blog = capm.bit_length() - 1
+        capm = self._smask + 1
         self._occ = _ints(NB + 1)
         self._head = _ints(NB + 1)
         self._slots = _ints((NB + 1) * capm)
-        self._cap = array("q", plan.caps) * R
-        self._cap.append(SINK_CAP)
-        self._is_sink = array("B", [pm >= 0 for pm in plan.sink_pm]) * R
-        self._is_sink.append(0)
-        self._sink_pm = self._tiled(plan.sink_pm, P)
-        self._sink_pm.append(-1)
 
         U = self.ports_per_replica
         NU = R * U
-        self._r_of_port = self._tiled([0] * U, 1)
         self._mid = _ints(NU, code="B")
         self._rem = _ints(NU)
         self._cont_src = _ints(NU, self._sent)
         self._cont_dst = _ints(NU, self._sent)
 
-        if self.kind == "ring":
-            # (3, NU): the j-th priority source of every port
-            self._psrc3 = array("q")
-            for column in plan.srcs:
-                self._psrc3 += self._tiled_buffers(column)
-            # Flat routing table: port x (2*dest + is_resp) -> output
-            # buffer.  One gather replaces the classifier compare/where
-            # chain in the propose hot path.
-            self._rt_tbl = _ints(NU * P * 2)
-            routes = array("q", plan.routes)
-            self._kernel.ring_routes(_addr(self._rt_tbl), _addr(routes), U, P, R, B)
-            self._fast = array("B", plan.fast) * R
-            self._lvl_of = self._tiled(plan.lvl, L)
-        else:
-            V = self._routers_per_replica
-            self._m_dst = self._tiled_buffers(plan.m_dst)
-            self._m_dir = array("q", plan.m_dir) * R
-            self._m_router5 = self._tiled([5 * v for v in plan.m_router], 5 * V)
-            self._in_buf = self._tiled_buffers(plan.in_buf)
-            self._lq_resp = self._tiled_buffers(plan.lq_resp)
-            self._lq_req = self._tiled_buffers(plan.lq_req)
-            NI = R * V * 5
+        if self.kind == "mesh":
+            NI = R * self._routers_per_replica * 5
             self._claimed = _ints(NI, code="B")
             self._rr = _ints(NU)
             self._lock = _ints(NU, -1)
-            # ejection ports carry no channel: tallied in a spare slot
-            self._lvl_of = self._tiled(
-                [0 if chan else -1 for chan in plan.m_chan], L, none=R * L
-            )
             # per row, the input that won; per router, its first output
             # port (the kernel derives it from ``_m_router5``)
             self._k_row_in = _ints(NU)
-            self._k_port_lo = _ints(R * V + 1)
+            self._k_port_lo = _ints(R * self._routers_per_replica + 1)
 
         NP_ = R * P
         self._np_ = NP_
-        self._pm_local = array("q", range(P)) * R
-        self._r_of_pm = self._tiled([0] * P, 1)
         self._outstanding = _ints(NP_)
         self._rem_open = _ints(NP_)
         self._rx_cnt = _ints(NP_)
@@ -322,19 +439,14 @@ class ColumnarEngine:
         self._k_mem_pid = _ints(mq)
         self._k_loc_ready = _ints(mq)
         self._k_loc_pm = _ints(mq)
-        # Staging for packets waiting on output-queue space: responses
-        # occupy columns [0, NP_), requests [NP_, 2*NP_) — the queues
-        # are independent, so the order columns drain in cannot show.
+        # Staging for packets waiting on output-queue space, one column
+        # per queue (``ColumnLayout.stg_q``) — the queues are
+        # independent, so the order columns drain in cannot show.
         self._stgcap = _pow2(max(2, P * self._t_limit))
         self._stgmask = self._stgcap - 1
         self._stg_pid = _ints(2 * NP_ * self._stgcap)
         self._stg_head = _ints(2 * NP_)
         self._stg_cnt = _ints(2 * NP_)
-        self._stg_q = array("q")
-        self._stg_qcap = array("q")
-        for queues in (plan.out_resp, plan.out_req):
-            self._stg_q += self._tiled_buffers(queues)
-            self._stg_qcap += array("q", [plan.caps[q] for q in queues]) * R
         self._k_stg_dirty = _ints(2 * NP_)
 
         # Packet table (flat, growable; row 0 is a reserved dummy).
@@ -411,30 +523,14 @@ class ColumnarEngine:
         inter-miss gap; from then on a column draws only when its miss
         is consumed.
         """
-        prm = (ctypes.c_int64 * PRM.COUNT)()
-        prm[PRM.KIND] = 0 if self.kind == "ring" else 1
-        prm[PRM.R] = self.replicas
-        prm[PRM.U] = self.ports_per_replica
-        prm[PRM.P] = self.processors
-        prm[PRM.L] = len(self.levels)
-        prm[PRM.NB] = self.replicas * self.buffers_per_replica
-        prm[PRM.NU] = len(self._mid)
-        prm[PRM.NPM] = self._np_
-        prm[PRM.V] = self._routers_per_replica
-        prm[PRM.SENT] = self._sent
-        prm[PRM.SMASK] = self._smask
-        prm[PRM.BLOG] = self._blog
-        prm[PRM.SUBC] = self.plan.subcycles
-        prm[PRM.MEM_LAT] = self.plan.memory_latency
+        # the layout's constant part, then what this point sets
+        prm = (ctypes.c_int64 * PRM.COUNT).from_buffer_copy(self._layout.prm)
         prm[PRM.T_LIMIT] = self._t_limit
-        prm[PRM.HDR] = self.plan.header_flits
-        prm[PRM.CL] = self.plan.cl_flits
         prm[PRM.BYPASS] = int(self._bypass)
         prm[PRM.THRESHOLD] = self._threshold
         prm[PRM.STGCAP] = self._stgcap
         prm[PRM.STGMASK] = self._stgmask
         prm[PRM.MQ_MASK] = self._k_mq_mask
-        prm[PRM.CHUNK] = LOOKAHEAD_CHUNK
         prm[PRM.KEY_WORDS] = self._key_words
         prm[PRM.MISS_THR] = ckernel.bernoulli_threshold(self.workload.miss_rate)
         prm[PRM.READ_THR] = ckernel.bernoulli_threshold(self.workload.read_fraction)
@@ -444,36 +540,37 @@ class ColumnarEngine:
         self._kernel.seed_streams(*self._k_args)
 
     def _k_build_ptrs(self) -> None:
+        lay = self._layout
         dummy = self._occ  # valid pointer for slots the kind never reads
         ring = self.kind == "ring"
         cols: "list[array[int] | array[float]]" = [
             self._occ,
             self._head,
             self._slots,
-            self._cap,
-            self._is_sink,
-            self._sink_pm,
+            lay.cap,
+            lay.is_sink,
+            lay.sink_pm,
             self._mid,
             self._rem,
             self._cont_src,
             self._cont_dst,
-            self._psrc3 if ring else dummy,
-            self._rt_tbl if ring else dummy,
-            self._fast if ring else dummy,
-            self._lvl_of,
-            self._r_of_port,
-            dummy if ring else self._in_buf,
-            dummy if ring else self._lq_resp,
-            dummy if ring else self._lq_req,
-            dummy if ring else self._route_flat,
-            dummy if ring else self._m_dst,
-            dummy if ring else self._m_dir,
-            dummy if ring else self._m_router5,
+            lay.psrc3,
+            lay.rt_tbl,
+            lay.fast,
+            lay.lvl_of,
+            lay.r_of_port,
+            lay.in_buf,
+            lay.lq_resp,
+            lay.lq_req,
+            lay.route,
+            lay.m_dst,
+            lay.m_dir,
+            lay.m_router5,
             dummy if ring else self._claimed,
             dummy if ring else self._rr,
             dummy if ring else self._lock,
-            self._stg_q,
-            self._stg_qcap,
+            lay.stg_q,
+            lay.stg_qcap,
             self._stg_pid,
             self._stg_head,
             self._stg_cnt,
@@ -481,8 +578,8 @@ class ColumnarEngine:
             self._rem_open,
             self._rx_cnt,
             self._rx_pid,
-            self._pm_local,
-            self._r_of_pm,
+            lay.pm_local,
+            lay.r_of_pm,
             self._pend,
             self._pend_read,
             self._pend_tgt,
@@ -490,8 +587,8 @@ class ColumnarEngine:
             self._draw_more,
             self._mt,
             self._mt_key,
-            self.plan.pool,
-            self.plan.pool_row,
+            lay.pool,
+            lay.pool_row,
             self._pkt_dest,
             self._pkt_src,
             self._pkt_size,
@@ -691,4 +788,11 @@ def simulate_columnar(
     )
 
 
-__all__ = ["ColumnarEngine", "kernel_can_run", "simulate_columnar"]
+__all__ = [
+    "LAYOUT_CACHE_SIZE",
+    "ColumnLayout",
+    "ColumnarEngine",
+    "column_layout",
+    "kernel_can_run",
+    "simulate_columnar",
+]

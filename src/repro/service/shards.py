@@ -39,7 +39,7 @@ class _ShardWorker(Worker):
     def __init__(self, shard: int) -> None:
         super().__init__()
         self.shard = shard
-        self.pending: asyncio.Future[tuple[bool, Any] | None] | None = None
+        self.pending: asyncio.Future[tuple[Any, ...] | None] | None = None
 
 
 class ShardedPools:
@@ -144,7 +144,7 @@ class ShardedPools:
     async def _call(self, shard: int, spec: PointSpec) -> str:
         worker = await self._acquire(shard)
         loop = asyncio.get_running_loop()
-        reply: asyncio.Future[tuple[bool, Any] | None] = loop.create_future()
+        reply: asyncio.Future[tuple[Any, ...] | None] = loop.create_future()
         try:
             with self._lock:
                 if self._closed or worker.process is None:

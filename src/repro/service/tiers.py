@@ -6,8 +6,8 @@ Request path for one point, in order:
    :class:`~repro.runtime.memcache.MemCache` LRU (canonical text served
    verbatim, no JSON parse, no disk I/O);
 2. **disk** — the code-version-salted
-   :class:`~repro.runtime.cache.ResultCache` (hit re-canonicalized and
-   promoted into memory);
+   :class:`~repro.runtime.cache.ResultCache` (the entry is canonical
+   text, served as read and promoted into memory);
 3. **in-flight** — another request is already computing this exact
    key: await its future instead of simulating again (``dedup``);
 4. **compute** — run the point on its shard; the worker writes the
@@ -63,7 +63,7 @@ class TieredCache:
             if text is not None:
                 return text, "mem"
         if self.disk is not None:
-            entry = self.disk.get_entry(spec)
+            entry = self.disk.get_entry(spec, spec_key)
             if entry is not None:
                 self.mem.put(key, *entry)
                 return entry[0], "disk"

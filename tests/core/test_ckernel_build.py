@@ -71,8 +71,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 #: multi-word live sets (8 replicas of 96 ring ports / 64 mesh routers),
 #: a nearly idle network (quiet jumps; the live sets and the staging
 #: list run empty), parked columns (T=1 under load: generate's full
-#: sweep), packet-table growth and a draw-chunk continuation.
+#: sweep), packet-table growth, a draw-chunk continuation, and seeding
+#: blocks of 1- and 2-word keys (negative seeds among them) over column
+#: counts that are not a multiple of the block.
 _DRIVER = """
+import random
+
 from repro.core import ckernel
 
 ckernel._CFLAGS += ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
@@ -141,6 +145,21 @@ def states():
 before = states()
 engine.run(LOOKAHEAD_CHUNK)
 assert all(now != was for now, was in zip(states(), before)), "a continuation did not draw"
+
+# Seeding blocks: 9, 18 and 27 columns, keys of one word and of two
+# (seeds past 4,294: abs(seed * 1_000_003 + pm) >= 2**32), a negative
+# seed, and widths that change inside a block.
+mesh = MeshSystemConfig(side=3, cache_line_bytes=32)
+for seeds in ((5000,), (-7, 4295), (1, 4294, -4296)):
+    engine = ColumnarEngine(mesh, WorkloadConfig(miss_rate=1.0), SimulationParams(), seeds)
+    for column in range(engine.replicas * 9):
+        seed, pm = divmod(column, 9)
+        stream = random.Random(seeds[seed] * 1_000_003 + pm)
+        stream.random()
+        assert list(engine._mt[625 * column : 625 * (column + 1)]) == list(
+            stream.getstate()[1]
+        ), (seeds, column)
+    engine.run(200)
 print("sanitized kernel ok")
 """
 

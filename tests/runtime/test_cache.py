@@ -91,10 +91,9 @@ class TestResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp_a = path.with_name(f".{path.name}.writer-a.tmp")
         tmp_b = path.with_name(f".{path.name}.writer-b.tmp")
-        import json as _json
-
-        tmp_a.write_text(_json.dumps(result_payload(result), sort_keys=True))
-        tmp_b.write_text(_json.dumps(result_payload(result), sort_keys=True))
+        # what put() writes: the canonical text
+        tmp_a.write_text(canonical_json(result_payload(result)))
+        tmp_b.write_text(canonical_json(result_payload(result)))
         os.replace(tmp_a, path)
         os.replace(tmp_b, path)
         hit = b.get_entry(spec)

@@ -8,7 +8,11 @@
   until the late reply has been read and dropped, so that reply never
   answers the next point;
 * a worker forked lazily, mid-request: it holds none of the service's
-  descriptors, so a connection the service closes is EOF for its client.
+  descriptors, so a connection the service closes is EOF for its client;
+* a garbled disk entry (truncated JSON, JSON of another schema, zero
+  bytes): a miss through ``run_points`` and through the service, and
+  the recomputed point's atomic write replaces it with the bytes a
+  fresh ``run_point`` gives.
 """
 
 import asyncio
@@ -22,7 +26,15 @@ import time
 import pytest
 
 from repro.core.config import RingSystemConfig, SimulationParams, WorkloadConfig
-from repro.runtime import MemCache, PointSpec, ResultCache, code_version_salt, run_point
+from repro.runtime import (
+    GLOBAL_MEMCACHE,
+    MemCache,
+    PointSpec,
+    ResultCache,
+    code_version_salt,
+    run_point,
+    run_points,
+)
 from repro.runtime.serialization import canonical_json, result_payload
 from repro.service import (
     ServiceClient,
@@ -243,3 +255,42 @@ class TestForkHygiene:
             ServiceClient("127.0.0.1", svc.port).shutdown()
             handle.stop()
         assert not handle.thread.is_alive()
+
+
+#: What a disk entry can be garbled into: a write cut short, JSON that
+#: is not a result payload (an object of another schema, not an object
+#: at all), nothing.
+GARBLED = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "other-schema": lambda text: json.dumps({"version": 1, "cycles": 3}),
+    "not-an-object": lambda text: "[1, 2]",
+    "empty": lambda text: "",
+}
+
+
+def _garble(cache, spec, how):
+    path = cache.path_for(spec)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(GARBLED[how](_direct(spec)))
+    return path
+
+
+@pytest.mark.parametrize("how", list(GARBLED))
+class TestGarbledDiskEntry:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_points_misses_and_rewrites_it(self, tmp_path, how, jobs):
+        cache = ResultCache(tmp_path)
+        path = _garble(cache, SHORT, how)
+        GLOBAL_MEMCACHE.clear()
+        trackers = []
+        (result,) = run_points([SHORT], jobs=jobs, cache=cache, progress=trackers.append)
+        assert trackers[-1].cache_hits == 0
+        assert canonical_json(result_payload(result)) == _direct(SHORT)
+        assert path.read_text() == _direct(SHORT)
+
+    def test_the_service_misses_and_rewrites_it(self, service, how):
+        svc, client = service
+        path = _garble(svc.tiers.disk, SHORT, how)
+        text, source = client.run_point(SHORT.payload())
+        assert (text, source) == (_direct(SHORT), "computed")
+        assert path.read_text() == text
