@@ -88,6 +88,23 @@ class TestEndpoints:
         )
         assert served == canonical_json(result_payload(oracle))
 
+    def test_array_topology_is_served_as_its_string_form(self, service):
+        """A JSON array names the hierarchy as well as ``"2:4"`` does,
+        on the point route and in a job."""
+        __, client = service
+        payload = _payload(seed=23)
+        listed = {**payload, "system": {**payload["system"], "topology": [2, 4]}}
+        expected = canonical_json(
+            result_payload(run_point(PointSpec.from_payload(payload), cache=None))
+        )
+        served, __source = client.run_point(listed)
+        assert served == expected
+        job_id = client.submit_job([listed])
+        status = client.wait_for_job(job_id)
+        assert (status["state"], status["error"]) == ("done", None)
+        (parsed,) = client.job_status(job_id, results=True)["results"]
+        assert canonical_json(parsed) == expected
+
     def test_derive_seed_accepted(self, service):
         __, client = service
         payload = _payload(seed=1)
