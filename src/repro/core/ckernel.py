@@ -43,20 +43,29 @@ agreement rests on one shared stream and three structural facts:
   router's inputs are classified once into a per-direction request mask
   — PR 18's request word over columns — and the winner is the object
   router's.  Rows are appended in ascending port order.
-* **Only live units are visited.**  A unit is a ring port or a mesh
-  router; it is live while any buffer it reads (a port's sources; a
-  router's four inputs and its PM's two output queues) holds a flit,
-  and only a live unit can propose.  On entry to ``step_cycles`` the
-  kernel derives, from ``occ[]``, the unit reading each buffer, each
-  unit's flit count and a bitmap of the live ones; every commit pop,
-  commit fill and staging drain keeps the three in step with ``occ[]``,
-  and propose walks the bitmap lowest bit first, so rows keep ascending
-  port order (a router's outputs are contiguous, routers ascending).
-  The same entry derives the list of non-empty staging columns the
-  drain walks and the least countdown, which lets a cycle with nothing
-  parked and nothing due count every column down in one sweep, and the
-  quiet jump skip to the next miss without a search.  None of it is
-  state Python keeps: the columns are scratch.
+* **Only live units, PMs and staging columns are visited.**  A unit is
+  a ring port or a mesh router; it is live while any buffer it reads (a
+  port's sources; a router's four inputs and its PM's two output
+  queues) holds a flit, and only a live unit can propose.  On entry to
+  ``step_cycles`` the kernel derives, from ``occ[]``, the unit reading
+  each buffer, each unit's flit count and a bitmap of the live ones;
+  every commit pop, commit fill and staging drain keeps the three in
+  step with ``occ[]``, and propose walks the bitmap lowest bit first, so
+  rows keep ascending port order (a router's outputs are contiguous,
+  routers ascending).  Generate walks a bitmap of the PMs that can act
+  — counting down, or parked with room to unpark — in ascending order:
+  parking clears a PM's bit and the eject or local completion that
+  lowers its outstanding count sets it again.  The drain walks a list
+  of the staging columns that can move: a column joins it when it
+  gains a packet while empty, and leaves it when it empties or its head
+  packet does not fit; then it waits on its output queue, and commit's
+  pop of that queue — the only thing that frees room there — lists it
+  again.  The same entry derives both from the columns, and the least
+  countdown, which lets a cycle with nothing parked and nothing due
+  count every column down in one sweep, and the quiet jump skip to the
+  next miss without a search.  None of it is state Python keeps, and
+  none of it is a C ``static``: the columns are per-engine scratch, so
+  threads can be inside the kernel at once (ctypes releases the GIL).
 * **Resolve is a worklist over the greatest fixed point** — the twin of
   ``Engine._resolve_compiled``.  A row can only be revoked if its
   bounded destination is already full, so propose seeds a stack with
@@ -71,12 +80,15 @@ agreement rests on one shared stream and three structural facts:
   a mid-packet input is claimed, ``claim[]``, by the output locked to
   it) and every bounded buffer one writer (one upstream port or router
   output).
-* **PMs only meet through buffers.**  Commit pops every surviving
-  row's source before filling any destination; the update phase then
-  runs eject, memory service, local completion, generate and staging
-  drain per PM in the object model's order.  A PM's update reads and
-  writes only its own queues, counters and stream, so the order PMs are
-  visited in cannot show in any result.
+* **PMs only meet through buffers.**  Commit pops each surviving row's
+  source and then fills its destination, in one pass: a pop leaves
+  ``head + occ`` as it was, so a flit lands in the slot it would take
+  after all pops, even in a full buffer whose slot column it fills
+  (``cap == capm``), where it takes the head slot of the flit leaving.
+  The update phase then runs eject, memory service, local completion,
+  generate and staging drain per PM in the object model's order.  A
+  PM's update reads and writes only its own queues, counters and
+  stream, so the order PMs are visited in cannot show in any result.
 
 Loading (:func:`load`, once per process, never raises): the shared
 object lives at ``$XDG_CACHE_HOME/repro/ckernel-<identity>-<content>.so``
@@ -152,9 +164,9 @@ class PTR:
     LOCK = 24
     STG_Q = 25
     STG_QCAP = 26
-    STG_PID = 27
-    STG_HEAD = 28
-    STG_CNT = 29
+    STG_HEAD = 27
+    STG_TAIL = 28
+    PKT_NEXT = 29
     OUT = 30
     REM_OPEN = 31
     RX_CNT = 32
@@ -216,8 +228,10 @@ class PTR:
     LIVE_BITS = 88
     PORT_LO = 89
     STG_DIRTY = 90
-    KSTATE = 91
-    COUNT = 92
+    STG_WAIT = 91
+    PM_BITS = 92
+    KSTATE = 93
+    COUNT = 94
 
 
 class KS:
@@ -258,14 +272,12 @@ class PRM:
     CL = 16
     BYPASS = 17
     THRESHOLD = 18
-    STGCAP = 19
-    STGMASK = 20
-    MQ_MASK = 21
-    CHUNK = 22  # Bernoulli draws per visit (processor.LOOKAHEAD_CHUNK)
-    KEY_WORDS = 23  # row width of the seeding key table
-    MISS_THR = 24  # bernoulli_threshold(miss_rate)
-    READ_THR = 25  # bernoulli_threshold(read_fraction)
-    COUNT = 26
+    MQ_MASK = 19
+    CHUNK = 20  # Bernoulli draws per visit (processor.LOOKAHEAD_CHUNK)
+    KEY_WORDS = 21  # row width of the seeding key table
+    MISS_THR = 22  # bernoulli_threshold(miss_rate)
+    READ_THR = 23  # bernoulli_threshold(read_fraction)
+    COUNT = 24
 
 
 def bernoulli_threshold(p: float) -> int:
@@ -297,8 +309,8 @@ typedef double   f64;
 
 enum { P_KIND, P_R, P_U, P_P, P_L, P_NB, P_NU, P_NPM, P_V, P_SENT,
        P_SMASK, P_BLOG, P_SUBC, P_MEMLAT, P_TLIM, P_HDR, P_CL,
-       P_BYPASS, P_THRESH, P_STGCAP, P_STGMASK, P_MQMASK, P_CHUNK,
-       P_KEYW, P_MISSTHR, P_READTHR };
+       P_BYPASS, P_THRESH, P_MQMASK, P_CHUNK, P_KEYW, P_MISSTHR,
+       P_READTHR };
 
 enum { K_CYCLE, K_NPKT, K_PKTCAP, K_NETF, K_PENDTOT,
        K_MEMH, K_MEMC, K_LOCH, K_LOCC, K_ARG };
@@ -309,7 +321,7 @@ enum {
  A_PSRC3, A_RTTBL, A_FAST, A_LVLOF, A_RPORT,
  A_INBUF, A_LQRESP, A_LQREQ, A_ROUTE, A_MDST, A_MDIR, A_MR5,
  A_CLAIM, A_RR, A_LOCK,
- A_STGQ, A_STGQCAP, A_STGPID, A_STGHEAD, A_STGCNT,
+ A_STGQ, A_STGQCAP, A_STGHEAD, A_STGTAIL, A_PNEXT,
  A_OUT, A_REMOPEN, A_RXCNT, A_RXPID, A_PMLOCAL, A_ROFPM,
  A_PEND, A_PENDRD, A_PENDTGT, A_CD,
  A_MORE, A_MT, A_MTKEY, A_POOL, A_POOLROW,
@@ -323,8 +335,8 @@ enum {
  A_ROWPORT, A_ROWSRC, A_ROWDST, A_ROWPID, A_ROWIN, A_ROWLIVE,
  A_DRAINER, A_FILLER, A_WORK,
  A_COMP, A_CYCPROP, A_CYCCOMM,
- A_LIVEOF, A_LIVECNT, A_LIVEBITS, A_PORTLO, A_STGDIRTY,
- A_KSTATE };
+ A_LIVEOF, A_LIVECNT, A_LIVEBITS, A_PORTLO, A_STGDIRTY, A_STGWAIT,
+ A_PMBITS, A_KSTATE };
 
 /* ---- the miss stream: MT19937 exactly as random.Random runs it ----
    One state per (replica, pm) column: 624 words and the read index.
@@ -570,6 +582,20 @@ static const u8 LOWBIT[32] = {0, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0,
         livebit[w_ >> 6] &= ~((u64)(--livecnt[w_] == 0) << (w_ & 63)); \
     } while (0)
 
+/* Append packet p to staging column col's FIFO (linked through the
+   packet table's next column; 0 ends it).  A column that was empty
+   joins the drain list. */
+#define STG_PUSH(col, p) do {                                       \
+        pnext[p] = 0;                                               \
+        if (stghead[col]) pnext[stgtail[col]] = (p);                \
+        else { stghead[col] = (p); dirty[ndirty++] = (col); }      \
+        stgtail[col] = (p);                                         \
+    } while (0)
+
+/* PM column f has a transaction fewer outstanding: if it is parked it
+   may unpark, so generate visits it again. */
+#define PM_WAKE(f) (pmbit[(f) >> 6] |= 1ULL << ((f) & 63))
+
 long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 {
     /* ---- unpack ---- */
@@ -600,9 +626,9 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     i64 *lockv  = (i64 *)A[A_LOCK];
     i64 *stgq   = (i64 *)A[A_STGQ];
     i64 *stgqcap= (i64 *)A[A_STGQCAP];
-    i64 *stgpid = (i64 *)A[A_STGPID];
     i64 *stghead= (i64 *)A[A_STGHEAD];
-    i64 *stgcnt = (i64 *)A[A_STGCNT];
+    i64 *stgtail= (i64 *)A[A_STGTAIL];
+    i64 *pnext  = (i64 *)A[A_PNEXT];
     i64 *outv   = (i64 *)A[A_OUT];
     i64 *remopen= (i64 *)A[A_REMOPEN];
     i64 *rxcnt  = (i64 *)A[A_RXCNT];
@@ -663,6 +689,8 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     u64 *livebit= (u64 *)A[A_LIVEBITS];
     i64 *portlo = (i64 *)A[A_PORTLO];
     i64 *dirty  = (i64 *)A[A_STGDIRTY];
+    i64 *stgwait= (i64 *)A[A_STGWAIT];
+    u64 *pmbit  = (u64 *)A[A_PMBITS];
     i64 *ks     = (i64 *)A[A_KSTATE];
 
     const i64 kind   = pr[P_KIND];
@@ -681,8 +709,6 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
     const i64 clsz   = pr[P_CL];
     const i64 bypass = pr[P_BYPASS];
     const i64 thresh = pr[P_THRESH];
-    const i64 stgcap = pr[P_STGCAP];
-    const i64 stgmask= pr[P_STGMASK];
     const i64 mqmask = pr[P_MQMASK];
     const i64 chunk  = pr[P_CHUNK];
     const i64 missthr= pr[P_MISSTHR];
@@ -697,12 +723,20 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
        the flits in unit w's buffers, and bit w of livebit is set iff
        that count is non-zero; commit pops and fills and the staging
        drain keep all three in step with occ[], so propose visits only
-       units with a flit to move.  dirty[0, ndirty) lists the non-empty
-       staging columns, and mincd is the least countdown whenever no
-       column is parked. */
+       units with a flit to move.  dirty[0, ndirty) lists the staging
+       columns the drain must try: here every non-empty one; later a
+       column that gains a packet while empty, or whose output queue q
+       pops while it waits in stgwait[q] (a column whose head packet
+       did not fit leaves the list, and only a pop frees room in its
+       queue).  Bit f of pmbit is set while PM column f counts down, or
+       is parked with room to unpark: parking clears it, and the eject
+       or local completion that lowers the column's outstanding count
+       sets it.  mincd is the least countdown whenever no column is
+       parked. */
     const i64 nunit = kind == 0 ? NU : R * V;
     const i64 nword = (nunit + 63) >> 6;
-    for (i64 b = 0; b <= NB; b++) liveof[b] = -1;
+    const i64 npmword = (NPM + 63) >> 6;
+    for (i64 b = 0; b <= NB; b++) liveof[b] = stgwait[b] = -1;
     if (kind == 0) {
         for (i64 k = 0; k < 3 * NU; k++)
             if (psrc3[k] < NB) liveof[psrc3[k]] = k % NU;
@@ -723,7 +757,10 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
         if (occ[b] > 0) LIVE_ADD(b, occ[b]);
     i64 ndirty = 0;
     for (i64 col = 0; col < 2 * NPM; col++)
-        if (stgcnt[col] > 0) dirty[ndirty++] = col;
+        if (stghead[col]) dirty[ndirty++] = col;
+    for (i64 k = 0; k < npmword; k++) pmbit[k] = 0;
+    for (i64 f = 0; f < NPM; f++)
+        if (!pend[f] || outv[f] < tlim) PM_WAKE(f);
     i64 mincd = cd[0];
     for (i64 f = 1; f < NPM; f++) if (cd[f] < mincd) mincd = cd[f];
 
@@ -732,7 +769,9 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             ks[K_CYCLE] = cycle;
             return 2;
         }
-        /* quiet jump: nothing in flight, nothing staged or parked */
+        /* quiet jump: nothing in flight, nothing staged or parked (a
+           staged packet that does not fit waits on a queue holding
+           flits) */
         if (ks[K_NETF] == 0 && ks[K_MEMC] == 0 && ks[K_LOCC] == 0 &&
             ndirty == 0 && ks[K_PENDTOT] == 0) {
             i64 dt = mincd;
@@ -779,25 +818,27 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                 }
             } else {
                 /* per live router, one request pass: per direction,
-                   the mask of inputs whose head wants it (empty and
-                   claimed inputs ask for nothing), and per input the
-                   buffer it would leave; LOCAL offers lq_resp first.
-                   Then its outputs, in port order. */
+                   the mask of inputs whose head wants it, and per input
+                   the buffer it would leave; LOCAL offers lq_resp
+                   first.  The pass does not branch: every input's head
+                   direction is read (an empty buffer or the sentinel
+                   still holds a valid packet id) and an empty or
+                   claimed input adds a zero bit.  Then the router's
+                   outputs, in port order. */
                 i64 rbase = 0;  /* the first router of rf's replica */
                 for (i64 wi = 0; wi < nword; wi++)
                 for (u64 bits = livebit[wi]; bits; bits &= bits - 1) {
                     const i64 rf = (wi << 6) + __builtin_ctzll(bits);
                     while (rf - rbase >= V) rbase += V;
                     const i64 *rt = route + (rf - rbase) * Pn;
-                    i64 m[5] = {0, 0, 0, 0, 0}, from[5] = {0, 0, 0, 0, 0};
-                    for (i64 j = 0, i = 5 * rf; j < 5; j++, i++) {
-                        i64 b = inbuf[i];
-                        if (j == 4)
-                            b = occ[lqresp[rf]] > 0 ? lqresp[rf] : lqreq[rf];
-                        if (occ[b] > 0 && !claim[i]) {
-                            m[rt[pdest[HEADPKT(b)]]] |= 1 << j;
-                            from[j] = b;
-                        }
+                    const i64 *ib = inbuf + 5 * rf;
+                    const u8 *cl = claim + 5 * rf;
+                    i64 m[5] = {0, 0, 0, 0, 0}, from[5];
+                    from[4] = occ[lqresp[rf]] > 0 ? lqresp[rf] : lqreq[rf];
+                    for (i64 j = 0; j < 4; j++) from[j] = ib[j];
+                    for (i64 j = 0; j < 5; j++) {
+                        const i64 b = from[j];
+                        m[rt[pdest[HEADPKT(b)]]] |= (i64)((occ[b] > 0) & !cl[j]) << j;
                     }
                     for (i64 u = portlo[rf]; u < portlo[rf + 1]; u++) {
                         i64 src, j = 0;
@@ -848,19 +889,27 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                 }
             }
 
-            /* ---- commit: all pops before any fill ---- */
-            for (i64 k = 0; k < nrow; k++) {
-                if (!rowlive[k]) continue;
-                i64 s = rowsrc[k];
-                occ[s]--;
-                headv[s] = (headv[s] + 1) & smask;
-                LIVE_POP(s);
-            }
+            /* ---- commit: each surviving row pops, then fills ----
+               A pop leaves head + occ as it was, so a fill lands in the
+               same slot whether the destination's own pop comes earlier
+               or later in this loop; a full buffer with cap == capm
+               that also drains takes the new flit in its head slot,
+               whose packet id the draining row already holds.  A pop
+               of an output queue re-lists the staging column waiting
+               on it. */
             for (i64 k = 0; k < nrow; k++) {
                 if (!rowlive[k]) continue;
                 i64 u = rowport[k];
+                i64 s = rowsrc[k];
                 i64 d = rowdst[k];
                 i64 p = rowpid[k];
+                occ[s]--;
+                headv[s] = (headv[s] + 1) & smask;
+                LIVE_POP(s);
+                if (stgwait[s] >= 0) {
+                    dirty[ndirty++] = stgwait[s];
+                    stgwait[s] = -1;
+                }
                 comm[rport[u]]++;
                 flvl[lvlof[u]]++;
                 fmov[rport[u]]++;
@@ -888,7 +937,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                     } else if (psize[p] > 1) {
                         midv[u] = 1;
                         remv[u] = psize[p] - 1;
-                        csrc[u] = rowsrc[k];
+                        csrc[u] = s;
                         cdst[u] = d;
                     }
                 } else if (lockv[u] >= 0) {
@@ -902,7 +951,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                     if (psize[p] > 1) {
                         lockv[u] = j;
                         claim[mr5[u] + j] = 1;
-                        csrc[u] = rowsrc[k];
+                        csrc[u] = s;
                         remv[u] = psize[p] - 1;
                     }
                 }
@@ -928,6 +977,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             i64 p = comp[2 * k + 1];
             if (presp[p]) {
                 outv[pm]--;
+                PM_WAKE(pm);
                 remopen[pm]--;
                 i64 r = rofpm[pm];
                 f64 lat = (f64)(cycle - pissue[p]);
@@ -961,9 +1011,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             psize[p] = rd ? clsz : hdrsz;
             pissue[p] = pissue[rq];
             prt[p] = dpm * 2 + 1;
-            i64 pos = (stghead[pm] + stgcnt[pm]) & stgmask;
-            stgpid[pm * stgcap + pos] = p;
-            if (stgcnt[pm]++ == 0) dirty[ndirty++] = pm;
+            STG_PUSH(pm, p);
         }
         while (ks[K_LOCC] > 0 && locrdy[ks[K_LOCH] & mqmask] <= cycle) {
             i64 hh = ks[K_LOCH] & mqmask;
@@ -971,6 +1019,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
             ks[K_LOCH]++;
             ks[K_LOCC]--;
             outv[pm]--;
+            PM_WAKE(pm);
             i64 r = rofpm[pm];
             f64 lat = (f64)memlat;
             lsum[r] += lat;
@@ -985,16 +1034,24 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
            the stream, then the draws of the next gap.  A parked pm's
            countdown is frozen, so its stream resumes the cycle after
            the miss issues, as the object model's does.  With nothing
-           parked and no countdown at 1 the cycle only counts down. */
+           parked and no countdown at 1 the cycle only counts down;
+           otherwise it visits the columns of pmbit in ascending order,
+           which skips the parked ones that cannot unpark. */
         if (ks[K_PENDTOT] == 0 && mincd > 1) {
             for (i64 f = 0; f < NPM; f++) cd[f]--;
             mincd--;
         } else {
-            for (i64 f = 0; f < NPM; f++) {
+            for (i64 wi = 0; wi < npmword; wi++)
+            for (u64 bits = pmbit[wi]; bits; bits &= bits - 1) {
+                const i64 f = (wi << 6) + __builtin_ctzll(bits);
+                const u64 fbit = bits & -bits;
                 u8 rd;
                 i64 tg;
                 if (pend[f]) {
-                    if (outv[f] >= tlim) continue;
+                    if (outv[f] >= tlim) {
+                        pmbit[wi] &= ~fbit;
+                        continue;
+                    }
                     pend[f] = 0;
                     ks[K_PENDTOT]--;
                     rd = pendrd[f];
@@ -1018,6 +1075,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                         pendrd[f] = rd;
                         pendtg[f] = tg;
                         ks[K_PENDTOT]++;
+                        pmbit[wi] &= ~fbit;
                         continue;
                     }
                 }
@@ -1039,10 +1097,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                     pissue[p] = cycle;
                     prt[p] = tg * 2;
                     remopen[f]++;
-                    i64 col = f + NPM;
-                    i64 pos = (stghead[col] + stgcnt[col]) & stgmask;
-                    stgpid[col * stgcap + pos] = p;
-                    if (stgcnt[col]++ == 0) dirty[ndirty++] = col;
+                    STG_PUSH(f + NPM, p);
                     riss[r]++;
                 }
             }
@@ -1051,28 +1106,28 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
                 for (i64 f = 1; f < NPM; f++) if (cd[f] < mincd) mincd = cd[f];
             }
         }
-        /* drain staging while whole packets fit; no two columns share
-           an output queue, so the order columns are visited in is free */
-        for (i64 k = 0; k < ndirty;) {
-            i64 col = dirty[k];
-            while (stgcnt[col] > 0) {
-                i64 p = stgpid[col * stgcap + stghead[col]];
-                i64 sz = psize[p];
-                i64 q = stgq[col];
-                if (stgqcap[col] - occ[q] < sz) break;
-                stghead[col] = (stghead[col] + 1) & stgmask;
-                stgcnt[col]--;
-                i64 tl = headv[q] + occ[q];
+        /* drain the listed staging columns while whole packets fit.
+           Each leaves the list, emptied or waiting on its queue for a
+           pop; no two columns share an output queue, so the order
+           columns are visited in is free. */
+        while (ndirty) {
+            const i64 col = dirty[--ndirty];
+            const i64 q = stgq[col];
+            i64 p = stghead[col];
+            for (; p; p = pnext[p]) {
+                const i64 sz = psize[p];
+                if (stgqcap[col] - occ[q] < sz) {
+                    stgwait[q] = col;
+                    break;
+                }
+                const i64 tl = headv[q] + occ[q];
                 for (i64 i = 0; i < sz; i++)
                     slots[(q << blog) + ((tl + i) & smask)] = p;
                 occ[q] += sz;
                 LIVE_ADD(q, sz);
                 ks[K_NETF] += sz;
             }
-            if (stgcnt[col] == 0)
-                dirty[k] = dirty[--ndirty];
-            else
-                k++;
+            stghead[col] = p;
         }
 
         cycle++;
@@ -1085,7 +1140,7 @@ long step_cycles(void **A, const i64 *pr, i64 max_cycles)
 #: Compiler flags of the one build.  The sanitizer test extends this list
 #: in its own subprocess before the first :func:`load`; the cache entry's
 #: name covers them, so an instrumented kernel never shadows the plain one.
-_CFLAGS = ["-O2", "-shared", "-fPIC"]
+_CFLAGS = ["-O3", "-shared", "-fPIC"]
 
 #: Where there is a ``cc`` to ask for and a shared object to map.
 _SUPPORTED = sys.platform.startswith(("linux", "darwin"))

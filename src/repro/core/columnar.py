@@ -14,8 +14,9 @@ imports numpy) flattened across replicas, and :mod:`repro.core.ckernel`
   state (``_mid``/``_rem``/``_cont_src``/``_cont_dst``);
 * the PM update phase (eject, memory service, local completion, M-MRP
   generation, staging drain — in the object model's order) runs over
-  flattened ``(replica, pm)`` columns, with the memory pipeline,
-  local-completion and staging queues as circular timer arrays;
+  flattened ``(replica, pm)`` columns, with the memory pipeline and
+  local-completion queues as circular timer arrays and the staging
+  FIFOs as lists linked through the packet table;
 * every ``(replica, pm)`` column owns one MT19937 state, seeded in C
   the way ``random.Random(seed * 1_000_003 + pm_id)`` seeds itself, and
   the kernel consumes it draw for draw as
@@ -439,15 +440,16 @@ class ColumnarEngine:
         self._k_mem_pid = _ints(mq)
         self._k_loc_ready = _ints(mq)
         self._k_loc_pm = _ints(mq)
-        # Staging for packets waiting on output-queue space, one column
-        # per queue (``ColumnLayout.stg_q``) — the queues are
-        # independent, so the order columns drain in cannot show.
-        self._stgcap = _pow2(max(2, P * self._t_limit))
-        self._stgmask = self._stgcap - 1
-        self._stg_pid = _ints(2 * NP_ * self._stgcap)
+        # Staging for packets waiting on output-queue space, one FIFO
+        # per queue (``ColumnLayout.stg_q``), linked through the packet
+        # table's ``_pkt_next`` (packet 0 ends a list) — the queues are
+        # independent, so the order columns drain in cannot show.  The
+        # kernel's scratch: the columns its drain must try, and per
+        # buffer the column waiting for it to pop.
         self._stg_head = _ints(2 * NP_)
-        self._stg_cnt = _ints(2 * NP_)
+        self._stg_tail = _ints(2 * NP_)
         self._k_stg_dirty = _ints(2 * NP_)
+        self._k_stg_wait = _ints(NB + 1)
 
         # Packet table (flat, growable; row 0 is a reserved dummy).
         self._pkt_dest = _ints(_PKT_ROWS)
@@ -459,6 +461,7 @@ class ColumnarEngine:
         # Routing code ``2*dest + is_resp`` — the propose path's single
         # per-packet gather, indexing the flat port routing table.
         self._pkt_rt = _ints(_PKT_ROWS)
+        self._pkt_next = _ints(_PKT_ROWS)
 
         # One subcycle's proposal rows (at most one per port, appended
         # in ascending port order): port, source and destination
@@ -478,11 +481,13 @@ class ColumnarEngine:
         self._k_comp = _ints(2 * plan.subcycles * NP_)
         # The kernel's live sets, rebuilt from the columns on every
         # entry (units: ring ports, mesh routers): the unit reading each
-        # buffer, and per unit its flits and a live bit.
+        # buffer, and per unit its flits and a live bit; per PM column,
+        # a bit for "generate must visit it".
         units = NU if self.kind == "ring" else R * self._routers_per_replica
         self._k_live_of = _ints(NB + 1)
         self._k_live_cnt = _ints(units)
         self._k_live_bits = _ints((units + 63) // 64, code="Q")
+        self._k_pm_bits = _ints((NP_ + 63) // 64, code="Q")
 
         # Statistics: batch-scoped latency tallies + cumulative counters.
         self._rem_sum = _floats(R)
@@ -528,8 +533,6 @@ class ColumnarEngine:
         prm[PRM.T_LIMIT] = self._t_limit
         prm[PRM.BYPASS] = int(self._bypass)
         prm[PRM.THRESHOLD] = self._threshold
-        prm[PRM.STGCAP] = self._stgcap
-        prm[PRM.STGMASK] = self._stgmask
         prm[PRM.MQ_MASK] = self._k_mq_mask
         prm[PRM.KEY_WORDS] = self._key_words
         prm[PRM.MISS_THR] = ckernel.bernoulli_threshold(self.workload.miss_rate)
@@ -571,9 +574,9 @@ class ColumnarEngine:
             dummy if ring else self._lock,
             lay.stg_q,
             lay.stg_qcap,
-            self._stg_pid,
             self._stg_head,
-            self._stg_cnt,
+            self._stg_tail,
+            self._pkt_next,
             self._outstanding,
             self._rem_open,
             self._rx_cnt,
@@ -635,6 +638,8 @@ class ColumnarEngine:
             self._k_live_bits,
             dummy if ring else self._k_port_lo,
             self._k_stg_dirty,
+            self._k_stg_wait,
+            self._k_pm_bits,
             self._kstate,
         ]
         assert PTR.COUNT == len(cols)
@@ -659,6 +664,7 @@ class ColumnarEngine:
             (PTR.PKT_RESP, self._pkt_resp),
             (PTR.PKT_READ, self._pkt_read),
             (PTR.PKT_RT, self._pkt_rt),
+            (PTR.PKT_NEXT, self._pkt_next),
         ):
             column.extend(_ints(new_rows - rows, code=column.typecode))
             self._k_ptr[slot] = _addr(column)

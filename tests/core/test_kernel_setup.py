@@ -9,11 +9,15 @@
   were by the engines that run on them;
 * both caches stay within their bounds;
 * ``seed_streams`` mixes columns in interleaved blocks and still leaves
-  each column the state and first gap ``random.Random`` gives its key.
+  each column the state and first gap ``random.Random`` gives its key;
+* the kernel is reentrant: its scratch lives in per-engine columns, so
+  threads inside it at once (ctypes releases the GIL) get the bytes of
+  serial runs, and its source keeps no mutable ``static`` state.
 """
 
 import ctypes
 import random
+import re
 import sys
 import threading
 from array import array
@@ -35,7 +39,7 @@ from repro.core.config import (
 from repro.core.errors import ConfigurationError
 from repro.core.plan import build_plan, topology_plan
 from repro.core.processor import LOOKAHEAD_CHUNK
-from repro.core.simulation import simulate
+from repro.core.simulation import simulate, simulate_batch
 from repro.runtime.serialization import canonical_json, result_payload
 
 needs_kernel = pytest.mark.skipif(not ckernel.available(), reason="no C toolchain")
@@ -267,3 +271,74 @@ def test_seeding_covers_wide_and_mixed_width_keys():
     for f, key in enumerate(keys):
         assert (states[f], gaps[f], more[f]) == _python_column(key, 0.0001), (f, key)
     assert any(more)
+
+
+# ----------------------------------------------------------------------
+# reentrancy
+# ----------------------------------------------------------------------
+#: Four distinct kernel points, two replicas each: both fabrics, a
+#: double-speed ring, one-flit mesh buffers.
+THREAD_POINTS = [
+    (RING, replace(LOAD, miss_rate=0.2), 11),
+    (MESH, LOAD, 12),
+    (RingSystemConfig(topology="2:2:4", cache_line_bytes=32, global_ring_speed=2), LOAD, 13),
+    (MeshSystemConfig(side=4, cache_line_bytes=32, buffer_flits=1), replace(LOAD, outstanding=1), 14),
+]
+
+
+def _point_bytes(system, workload, seed):
+    params = SimulationParams(batch_cycles=1500, batches=2, seed=seed, replicas=2)
+    return [canonical_json(result_payload(r)) for r in simulate_batch(system, workload, params)]
+
+
+@needs_kernel
+def test_threads_inside_the_kernel_at_once_get_the_serial_bytes(monkeypatch):
+    serial = [_point_bytes(*point) for point in THREAD_POINTS]
+    inside = [0, 0]  # engines running now, the most seen at once
+    lock = threading.Lock()
+    run = ColumnarEngine.run
+
+    def counted(engine, cycles):
+        with lock:
+            inside[0] += 1
+            inside[1] = max(inside)
+        try:
+            run(engine, cycles)
+        finally:
+            with lock:
+                inside[0] -= 1
+
+    monkeypatch.setattr(ColumnarEngine, "run", counted)
+    start = threading.Barrier(len(THREAD_POINTS))
+    got = [None] * len(THREAD_POINTS)
+
+    def work(index):
+        start.wait()
+        got[index] = _point_bytes(*THREAD_POINTS[index])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(THREAD_POINTS))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial
+    assert inside[1] >= 2, "the threads never overlapped inside the kernel"
+
+
+def test_the_kernel_source_keeps_no_mutable_static_state():
+    """Only ``static const`` tables and static functions: a writable
+    file- or function-scope ``static`` would be shared by every thread
+    inside the kernel at once."""
+    code = re.sub(r"/\*.*?\*/", "", ckernel._SOURCE, flags=re.S)
+    statics = [line.strip() for line in code.splitlines() if re.search(r"\bstatic\b", line)]
+    function = re.compile(r"^static\s+[\w\s*]*?\b\w+\s*\([^;]*$")
+    mutable = [line for line in statics if not line.startswith("static const ") and not function.match(line)]
+    assert not mutable, mutable
+    assert any(line.startswith("static const ") for line in statics)
+    assert any(function.match(line) for line in statics)

@@ -153,11 +153,15 @@ def test_c_kernel_matches_numpy_path(system, monkeypatch):
     assert [r.params.scheduler for r in fallback] == ["columnar", "columnar"]
 
 
-#: What the kernel's worklist resolver, per-router request pass and
-#: proposal list could get wrong without the three cells above noticing:
-#: a lone ring and a deep one carrying 128-B lines, one-flit and
-#: whole-packet mesh buffers under 36-flit worms (long lock tenures and
-#: revocation chains), the second subcycle of a double-speed ring.
+#: What the kernel's worklist resolver, per-router request pass,
+#: proposal list and one-pass commit could get wrong without the three
+#: cells above noticing: a lone ring and a deep one carrying 128-B
+#: lines, one-flit and whole-packet mesh buffers under 36-flit worms
+#: (long lock tenures and revocation chains), the second subcycle of a
+#: double-speed ring, and 16-B lines, whose ring buffers and
+#: whole-packet mesh buffers fill their slot columns (cap == capm: a
+#: full buffer that drains and fills in one subcycle reuses its head
+#: slot).
 KERNEL_SYSTEMS = [
     *SYSTEMS,
     pytest.param(RingSystemConfig(topology="8", cache_line_bytes=32), id="ring-single"),
@@ -171,6 +175,11 @@ KERNEL_SYSTEMS = [
     pytest.param(
         MeshSystemConfig(side=4, cache_line_bytes=128, buffer_flits="cl"),
         id="mesh-bufcl-128B",
+    ),
+    pytest.param(RingSystemConfig(topology="2:4", cache_line_bytes=16), id="ring-16B"),
+    pytest.param(
+        MeshSystemConfig(side=4, cache_line_bytes=16, buffer_flits="cl"),
+        id="mesh-bufcl-16B",
     ),
 ]
 
